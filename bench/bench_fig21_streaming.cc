@@ -351,7 +351,23 @@ int Run(BenchContext& ctx) {
     const double fresh_p99 = Percentile(freshness, 0.99);
     worst_freshness_p99 = std::max(worst_freshness_p99, fresh_p99);
     worst_query_p99 = std::max(worst_query_p99, panel.p99);
-    if (panel.failed > 0 || accepted != sent) sweep_failed = true;
+    if (panel.failed > 0) {
+      std::fprintf(stderr,
+                   "INGEST SWEEP %.0f r/s: %lld of %lld routed queries "
+                   "failed (want 0)\n",
+                   target_rate, static_cast<long long>(panel.failed),
+                   static_cast<long long>(panel.failed + panel.ok));
+      sweep_failed = true;
+    }
+    if (accepted != sent) {
+      std::fprintf(stderr,
+                   "INGEST SWEEP %.0f r/s: accepted %lld of %lld sent "
+                   "in-order readings, %lld lost (want 0)\n",
+                   target_rate, static_cast<long long>(accepted),
+                   static_cast<long long>(sent),
+                   static_cast<long long>(sent - accepted));
+      sweep_failed = true;
+    }
     const int64_t alert_count =
         static_cast<int64_t>(alerts.Query(streaming::AlertQuery{}).size());
     PrintRow({Cell(target_rate), Cell(accepted_rate), Cell(fresh_p50),
@@ -379,10 +395,12 @@ int Run(BenchContext& ctx) {
         return 1;
       }
       bool visible = false;
+      Status refreshed = Status::OK();
       while (visibility_watch.ElapsedSeconds() < 2.0) {
         store.Snapshot(&freshness);
         std::lock_guard<std::mutex> lock(shared.mu);
-        if (!shared.reader.Refresh().ok()) break;
+        refreshed = shared.reader.Refresh();
+        if (!refreshed.ok()) break;
         storage::ScanScope scope;
         scope.row_begin = 0;
         scope.row_count = 1;
@@ -397,7 +415,15 @@ int Run(BenchContext& ctx) {
                   "%.4f s (%s)\n\n",
                   visibility_watch.ElapsedSeconds(),
                   visible ? "ok" : "TIMED OUT");
-      if (!visible) sweep_failed = true;
+      if (!visible) {
+        std::fprintf(stderr,
+                     "INGEST SWEEP: marker reading not visible to a routed "
+                     "query after %.4f s (limit 2.0 s)%s%s\n",
+                     visibility_watch.ElapsedSeconds(),
+                     refreshed.ok() ? "" : "; reader refresh failed: ",
+                     refreshed.ok() ? "" : refreshed.ToString().c_str());
+        sweep_failed = true;
+      }
     }
   }
 

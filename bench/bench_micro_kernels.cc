@@ -249,6 +249,28 @@ void BM_SimdAddResidualYear(benchmark::State& state) {
 }
 BENCHMARK(BM_SimdAddResidualYear)->Arg(0)->Arg(1);
 
+// The 3-line breakpoint search over one band of ~900 points (the size
+// of one household's 10%-band on a year of hourly readings): every
+// (i, j) split scored, 4 candidate j per AVX2 vector, 2 per NEON.
+void BM_ThreeSegmentSearch(benchmark::State& state) {
+  const simd::ScopedLevel guard(PanelLevel(state.range(0)));
+  Rng rng(31);
+  std::vector<core::internal::BandPoint> band(900);
+  for (core::internal::BandPoint& p : band) {
+    p.temperature = rng.Uniform(-10.0, 35.0);
+    p.value = 0.4 + 0.15 * std::max(0.0, 12.0 - p.temperature) +
+              0.1 * std::max(0.0, p.temperature - 20.0) +
+              0.3 * rng.NextDouble();
+  }
+  std::sort(band.begin(), band.end());
+  for (auto _ : state) {
+    auto fit = core::internal::FitThreeSegments(band, 2);
+    benchmark::DoNotOptimize(fit);
+  }
+  state.SetLabel(std::string(simd::LevelName(simd::ActiveLevel())));
+}
+BENCHMARK(BM_ThreeSegmentSearch)->Arg(0)->Arg(1);
+
 std::string RandomCsvChunk(size_t rows, uint64_t seed) {
   Rng rng(seed);
   std::string text;

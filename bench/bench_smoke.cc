@@ -20,6 +20,7 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "engines/benchmark_runner.h"
+#include "obs/metrics.h"
 #include "obs/report.h"
 #include "simd/simd.h"
 #include "storage/column_store.h"
@@ -123,8 +124,25 @@ int RunSmoke(int argc, char** argv) {
                    source.status().ToString().c_str());
       return 1;
     }
-    table::ColumnarCache cache(ctx.SpoolDir("smoke-cache"));
+    // A spool left behind by an earlier run in the same --workdir would
+    // turn the cold open into a cache hit, so the cold run gets an empty
+    // spool directory and the cache counters prove which path ran.
+    const std::string cache_dir = ctx.SpoolDir("smoke-cache");
+    std::error_code ec;
+    std::filesystem::remove_all(cache_dir, ec);
+    if (ec) {
+      std::fprintf(stderr, "cannot clear cache spool %s: %s\n",
+                   cache_dir.c_str(), ec.message().c_str());
+      return 1;
+    }
+    table::ColumnarCache cache(cache_dir);
+    obs::Counter* hits =
+        obs::MetricsRegistry::Global().GetCounter("table.cache.hits");
+    obs::Counter* misses =
+        obs::MetricsRegistry::Global().GetCounter("table.cache.misses");
 
+    const int64_t hits_before_cold = hits->Value();
+    const int64_t misses_before_cold = misses->Value();
     Stopwatch cold_watch;
     auto cold = cache.OpenOrBuild(*source);  // Miss: parse + build + mmap.
     const double cold_seconds = cold_watch.ElapsedSeconds();
@@ -133,7 +151,19 @@ int RunSmoke(int argc, char** argv) {
                    cold.status().ToString().c_str());
       return 1;
     }
+    const int64_t cold_misses = misses->Value() - misses_before_cold;
+    const int64_t cold_hits = hits->Value() - hits_before_cold;
+    if (cold_misses != 1 || cold_hits != 0) {
+      std::fprintf(stderr,
+                   "DATA-PLANE GATE: cold open is not cold: "
+                   "table.cache.misses rose by %lld and table.cache.hits "
+                   "by %lld (want 1 and 0)\n",
+                   static_cast<long long>(cold_misses),
+                   static_cast<long long>(cold_hits));
+      return 1;
+    }
 
+    const int64_t hits_before_warm = hits->Value();
     Stopwatch warm_watch;
     auto warm = cache.OpenOrBuild(*source);  // Hit: mmap only.
     auto warm_batch = warm.ok() ? (*warm)->NewBatch()
@@ -142,6 +172,14 @@ int RunSmoke(int argc, char** argv) {
     if (!warm_batch.ok()) {
       std::fprintf(stderr, "cache warm scan failed: %s\n",
                    warm_batch.status().ToString().c_str());
+      return 1;
+    }
+    if (const int64_t warm_hits = hits->Value() - hits_before_warm;
+        warm_hits != 1) {
+      std::fprintf(stderr,
+                   "DATA-PLANE GATE: warm open is not warm: "
+                   "table.cache.hits rose by %lld (want 1)\n",
+                   static_cast<long long>(warm_hits));
       return 1;
     }
 

@@ -15,25 +15,14 @@ namespace smartmeter::core {
 
 namespace {
 
-/// A (temperature, consumption) reading belonging to a percentile band.
-struct BandPoint {
-  double temperature;
-  double value;
-
-  bool operator<(const BandPoint& other) const {
-    if (temperature != other.temperature) {
-      return temperature < other.temperature;
-    }
-    return value < other.value;
-  }
-};
+using internal::BandPoint;
 
 /// Prefix sums over sorted band points permitting O(1) least-squares fits
 /// of any contiguous range; this keeps the optimal-breakpoint search at
 /// O(P^2) instead of O(P^3).
 class SegmentFitter {
  public:
-  explicit SegmentFitter(const std::vector<BandPoint>& points) {
+  explicit SegmentFitter(std::span<const BandPoint> points) {
     const size_t n = points.size();
     sx_.assign(n + 1, 0.0);
     sy_.assign(n + 1, 0.0);
@@ -77,71 +66,13 @@ class SegmentFitter {
     return fit;
   }
 
+  simd::SegmentPrefixSums prefix_sums() const {
+    return {sx_, sy_, sxx_, sxy_, syy_};
+  }
+
  private:
   std::vector<double> sx_, sy_, sxx_, sxy_, syy_;
 };
-
-/// Fits the optimal 3-piece contiguous model to `points` (sorted by
-/// temperature). Returns segments [0,i), [i,j), [j,n).
-PiecewiseLines FitThreeSegments(const std::vector<BandPoint>& points,
-                                int min_bins) {
-  const size_t n = points.size();
-  const SegmentFitter fitter(points);
-  // Each segment must hold a minimum share of the points so the outer
-  // lines describe regimes, not outliers.
-  const size_t min_len = std::max<size_t>(
-      static_cast<size_t>(min_bins), n / 20);
-
-  PiecewiseLines out;
-  if (n < 3 * min_len || n < 6) {
-    // Too few points for three segments: one line replicated across the
-    // range keeps every downstream consumer well defined.
-    double sse = 0.0;
-    const stats::LinearFit fit = fitter.Fit(0, n, &sse);
-    const double lo = points.front().temperature;
-    const double hi = points.back().temperature;
-    const double third = (hi - lo) / 3.0;
-    out.left = {lo, lo + third, fit};
-    out.mid = {lo + third, lo + 2 * third, fit};
-    out.right = {lo + 2 * third, hi, fit};
-    return out;
-  }
-
-  double best_sse = std::numeric_limits<double>::infinity();
-  size_t best_i = min_len;
-  size_t best_j = 2 * min_len;
-  for (size_t i = min_len; i + 2 * min_len <= n; ++i) {
-    double sse_left = 0.0;
-    fitter.Fit(0, i, &sse_left);
-    if (sse_left >= best_sse) break;  // SSE(0, i) only grows with i.
-    for (size_t j = i + min_len; j + min_len <= n; ++j) {
-      double sse_mid = 0.0, sse_right = 0.0;
-      fitter.Fit(i, j, &sse_mid);
-      if (sse_left + sse_mid >= best_sse) continue;
-      fitter.Fit(j, n, &sse_right);
-      const double total = sse_left + sse_mid + sse_right;
-      if (total < best_sse) {
-        best_sse = total;
-        best_i = i;
-        best_j = j;
-      }
-    }
-  }
-
-  double unused = 0.0;
-  const stats::LinearFit left = fitter.Fit(0, best_i, &unused);
-  const stats::LinearFit mid = fitter.Fit(best_i, best_j, &unused);
-  const stats::LinearFit right = fitter.Fit(best_j, n, &unused);
-  // Breakpoints sit halfway between the adjoining point temperatures.
-  const double t1 = 0.5 * (points[best_i - 1].temperature +
-                           points[best_i].temperature);
-  const double t2 = 0.5 * (points[best_j - 1].temperature +
-                           points[best_j].temperature);
-  out.left = {points.front().temperature, t1, left};
-  out.mid = {t1, t2, mid};
-  out.right = {t2, points.back().temperature, right};
-  return out;
-}
 
 /// Continuity adjustment (the paper's final step): the outer lines are
 /// shifted vertically so each meets the middle line at the shared
@@ -192,6 +123,69 @@ Result<ThreeLineResult> ComputeThreeLine(std::span<const double> consumption,
 }
 
 namespace internal {
+
+ThreeSegmentFit FitThreeSegments(std::span<const BandPoint> points,
+                                 int min_bins) {
+  const size_t n = points.size();
+  const SegmentFitter fitter(points);
+  // Each segment must hold a minimum share of the points so the outer
+  // lines describe regimes, not outliers.
+  const size_t min_len = std::max<size_t>(
+      static_cast<size_t>(min_bins), n / 20);
+
+  ThreeSegmentFit out;
+  if (n < 3 * min_len || n < 6) {
+    // Too few points for three segments: one line replicated across the
+    // range keeps every downstream consumer well defined.
+    const stats::LinearFit fit = fitter.Fit(0, n, &out.sse);
+    const double lo = points.front().temperature;
+    const double hi = points.back().temperature;
+    const double third = (hi - lo) / 3.0;
+    out.lines.left = {lo, lo + third, fit};
+    out.lines.mid = {lo + third, lo + 2 * third, fit};
+    out.lines.right = {lo + 2 * third, hi, fit};
+    return out;
+  }
+
+  // SSE(j, n) depends only on j: fit every right segment once instead of
+  // once per surviving (i, j) pair.
+  const size_t j_end = n - min_len + 1;
+  std::vector<double> right_sse(j_end, 0.0);
+  for (size_t j = 2 * min_len; j < j_end; ++j) {
+    fitter.Fit(j, n, &right_sse[j]);
+  }
+  const simd::SegmentPrefixSums prefix = fitter.prefix_sums();
+
+  double best_sse = std::numeric_limits<double>::infinity();
+  size_t best_i = min_len;
+  size_t best_j = 2 * min_len;
+  for (size_t i = min_len; i + 2 * min_len <= n; ++i) {
+    double sse_left = 0.0;
+    fitter.Fit(0, i, &sse_left);
+    if (sse_left >= best_sse) break;  // SSE(0, i) only grows with i.
+    if (simd::ThreeSegmentScan(prefix, i, i + min_len, j_end, sse_left,
+                               right_sse, &best_sse, &best_j)) {
+      best_i = i;
+    }
+  }
+
+  double unused = 0.0;
+  const stats::LinearFit left = fitter.Fit(0, best_i, &unused);
+  const stats::LinearFit mid = fitter.Fit(best_i, best_j, &unused);
+  const stats::LinearFit right = fitter.Fit(best_j, n, &unused);
+  // Breakpoints sit halfway between the adjoining point temperatures.
+  const double t1 = 0.5 * (points[best_i - 1].temperature +
+                           points[best_i].temperature);
+  const double t2 = 0.5 * (points[best_j - 1].temperature +
+                           points[best_j].temperature);
+  out.lines.left = {points.front().temperature, t1, left};
+  out.lines.mid = {t1, t2, mid};
+  out.lines.right = {t2, points.back().temperature, right};
+  out.i = best_i;
+  out.j = best_j;
+  out.sse = best_sse;
+  return out;
+}
 
 Result<ThreeLineResult> ComputeThreeLineBinned(
     std::span<const double> consumption, std::span<const double> temperature,
@@ -306,8 +300,10 @@ Result<ThreeLineResult> ComputeThreeLineBinned(
 
   ThreeLineResult result;
   result.household_id = household_id;
-  result.p90 = FitThreeSegments(high_points, options.min_bins_per_segment);
-  result.p10 = FitThreeSegments(low_points, options.min_bins_per_segment);
+  result.p90 =
+      FitThreeSegments(high_points, options.min_bins_per_segment).lines;
+  result.p10 =
+      FitThreeSegments(low_points, options.min_bins_per_segment).lines;
   const double t2_seconds = t2_clock.ElapsedSeconds();
   if (ctx != nullptr && ctx->ShouldStop()) return ctx->CheckNotStopped();
 

@@ -80,6 +80,37 @@ Status ComputeThreeLineRange(const table::ColumnarBatch& batch, size_t begin,
 
 namespace internal {
 
+/// A (temperature, consumption) reading belonging to a percentile band.
+struct BandPoint {
+  double temperature;
+  double value;
+
+  bool operator<(const BandPoint& other) const {
+    if (temperature != other.temperature) {
+      return temperature < other.temperature;
+    }
+    return value < other.value;
+  }
+};
+
+/// The fitted lines of one band plus the breakpoint search's winner:
+/// segments [0, i), [i, j), [j, n) with total SSE `sse`. A band too
+/// small to split gets one line replicated over thirds of its range,
+/// i = j = 0 and that line's SSE.
+struct ThreeSegmentFit {
+  PiecewiseLines lines;
+  size_t i = 0;
+  size_t j = 0;
+  double sse = 0.0;
+};
+
+/// Fits the optimal 3-piece contiguous model to `points` (sorted by
+/// temperature): the exhaustive search over every breakpoint pair whose
+/// segments hold at least max(min_bins, n / 20) points, first minimum
+/// of the total SSE winning ties.
+ThreeSegmentFit FitThreeSegments(std::span<const BandPoint> points,
+                                 int min_bins);
+
 /// The fit stages of ComputeThreeLine after the binning pass: T1
 /// thresholds from the prepared per-bin value lists, T2 band selection
 /// over `bin_idx`, T3 continuity. Shared between the batch entry point

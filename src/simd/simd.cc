@@ -182,6 +182,36 @@ void AddResidualScalar(std::span<double> acc, std::span<const double> c,
   }
 }
 
+bool ThreeSegmentScanScalar(const SegmentPrefixSums& prefix, size_t i,
+                            size_t j_begin, size_t j_end, double sse_left,
+                            std::span<const double> right_sse,
+                            double* best_sse, size_t* best_j) {
+  if (j_begin >= j_end) return false;
+  const double sx_i = prefix.sx[i];
+  const double sy_i = prefix.sy[i];
+  const double sxx_i = prefix.sxx[i];
+  const double sxy_i = prefix.sxy[i];
+  const double syy_i = prefix.syy[i];
+  double best = *best_sse;
+  size_t best_at = *best_j;
+  bool improved = false;
+  for (size_t j = j_begin; j < j_end; ++j) {
+    const double mid = internal::SegmentSse(
+        static_cast<double>(j - i), prefix.sx[j] - sx_i, prefix.sy[j] - sy_i,
+        prefix.sxx[j] - sxx_i, prefix.sxy[j] - sxy_i, prefix.syy[j] - syy_i);
+    const double left_mid = sse_left + mid;
+    const double total = left_mid + right_sse[j];
+    if (left_mid < best && total < best) {
+      best = total;
+      best_at = j;
+      improved = true;
+    }
+  }
+  *best_sse = best;
+  *best_j = best_at;
+  return improved;
+}
+
 size_t FindByteScalar(std::string_view haystack, size_t pos, char needle) {
   for (size_t i = pos; i < haystack.size(); ++i) {
     if (haystack[i] == needle) return i;
@@ -331,6 +361,27 @@ void AddResidual(std::span<double> acc, std::span<const double> c,
 #endif
     default:
       AddResidualScalar(acc, c, t, beta);
+  }
+}
+
+bool ThreeSegmentScan(const SegmentPrefixSums& prefix, size_t i,
+                      size_t j_begin, size_t j_end, double sse_left,
+                      std::span<const double> right_sse, double* best_sse,
+                      size_t* best_j) {
+  switch (ActiveLevel()) {
+#if SM_SIMD_X86
+    case Level::kAVX2:
+      return arch::ThreeSegmentScanAvx2(prefix, i, j_begin, j_end, sse_left,
+                                        right_sse, best_sse, best_j);
+#endif
+#if SM_SIMD_NEON
+    case Level::kNEON:
+      return arch::ThreeSegmentScanNeon(prefix, i, j_begin, j_end, sse_left,
+                                        right_sse, best_sse, best_j);
+#endif
+    default:
+      return ThreeSegmentScanScalar(prefix, i, j_begin, j_end, sse_left,
+                                    right_sse, best_sse, best_j);
   }
 }
 

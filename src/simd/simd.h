@@ -30,6 +30,12 @@ namespace smartmeter::simd {
 /// builds. Parity therefore means: bit-identical whenever the result is
 /// not NaN; both-NaN otherwise.
 ///
+/// The 3-line breakpoint scan (ThreeSegmentScan) is element-wise too:
+/// each lane evaluates one candidate breakpoint with the scalar
+/// operation sequence, and lanes that beat the running best are
+/// resolved in lane order, so the first minimum wins exactly as in the
+/// sequential loop.
+///
 /// Dispatch: the widest implementation supported by the build AND the
 /// host CPU is picked once at startup (AVX2 via cpuid on x86-64, NEON on
 /// aarch64, scalar otherwise). `SM_SIMD=scalar|avx2|neon` in the
@@ -150,6 +156,33 @@ void AddResidual(std::span<double> acc, std::span<const double> c,
 void AddResidualScalar(std::span<double> acc, std::span<const double> c,
                        std::span<const double> t,
                        std::span<const double> beta);
+
+/// Prefix sums of one temperature-sorted 3-line band: entry k sums
+/// points [0, k), so any contiguous segment's least-squares statistics
+/// are two subtractions away. All five spans share one length.
+struct SegmentPrefixSums {
+  std::span<const double> sx, sy, sxx, sxy, syy;
+};
+
+/// One row of the 3-line breakpoint search: the left segment [0, i) is
+/// fixed (its SSE is `sse_left`), and for j = j_begin, ..., j_end - 1 in
+/// order the middle segment [i, j) gets the SSE of a least-squares line
+/// with the 3-line task's segment-fit operation sequence (flat branch
+/// when var_x <= 1e-12, clamped at 0). Candidate j replaces the running
+/// best when
+///   sse_left + mid < *best_sse && (sse_left + mid) + right_sse[j] < *best_sse,
+/// so ties keep the earliest j. Returns true when *best_sse / *best_j
+/// changed. Requires i < j_begin (or an empty range) and
+/// prefix / right_sse spans of at least j_end entries. The AVX2 form
+/// evaluates 4 consecutive j per vector, NEON 2.
+bool ThreeSegmentScan(const SegmentPrefixSums& prefix, size_t i,
+                      size_t j_begin, size_t j_end, double sse_left,
+                      std::span<const double> right_sse, double* best_sse,
+                      size_t* best_j);
+bool ThreeSegmentScanScalar(const SegmentPrefixSums& prefix, size_t i,
+                            size_t j_begin, size_t j_end, double sse_left,
+                            std::span<const double> right_sse,
+                            double* best_sse, size_t* best_j);
 
 // ---------------------------------------------------------------------------
 // Byte scanning (CSV ingestion)

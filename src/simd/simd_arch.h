@@ -3,7 +3,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
+
+#include "simd/simd.h"
 
 // Build-level gates for the architecture backends. SM_DISABLE_SIMD (a
 // CMake option) strips the vector translation units entirely; the
@@ -41,6 +44,10 @@ void SelectBandsAvx2(const double* values, const int32_t* bins, size_t n,
                      std::vector<int32_t>* hi_indices);
 void AddResidualAvx2(double* acc, const double* c, const double* t,
                      const double* beta, size_t n);
+bool ThreeSegmentScanAvx2(const SegmentPrefixSums& prefix, size_t i,
+                          size_t j_begin, size_t j_end, double sse_left,
+                          std::span<const double> right_sse,
+                          double* best_sse, size_t* best_j);
 size_t FindByteAvx2(const char* data, size_t size, size_t pos, char needle);
 size_t FindEitherByteAvx2(const char* data, size_t size, size_t pos, char a,
                           char b);
@@ -54,6 +61,10 @@ void HistogramBinNeon(const double* values, size_t n, double min,
                       double width, int64_t* counts, size_t num_buckets);
 void AddResidualNeon(double* acc, const double* c, const double* t,
                      const double* beta, size_t n);
+bool ThreeSegmentScanNeon(const SegmentPrefixSums& prefix, size_t i,
+                          size_t j_begin, size_t j_end, double sse_left,
+                          std::span<const double> right_sse,
+                          double* best_sse, size_t* best_j);
 size_t FindByteNeon(const char* data, size_t size, size_t pos, char needle);
 size_t FindEitherByteNeon(const char* data, size_t size, size_t pos, char a,
                           char b);

@@ -1,6 +1,7 @@
 #ifndef SMARTMETER_SIMD_SIMD_INTERNAL_H_
 #define SMARTMETER_SIMD_SIMD_INTERNAL_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -30,6 +31,20 @@ inline int32_t FloorDivInt32(double value, double divisor) {
     return static_cast<int32_t>(floored);
   }
   return std::numeric_limits<int32_t>::min();
+}
+
+/// Residual sum of squares of the least-squares line through a segment
+/// of `n` points with the given sums — SegmentFitter::Fit's operation
+/// sequence minus slope/intercept/r^2, so the breakpoint scan and the
+/// refit of its winner agree bit for bit.
+inline double SegmentSse(double n, double sx, double sy, double sxx,
+                         double sxy, double syy) {
+  const double var_x = sxx - sx * sx / n;
+  const double cov = sxy - sx * sy / n;
+  const double var_y = syy - sy * sy / n;
+  if (var_x <= 1e-12) return std::max(0.0, var_y);
+  const double slope = cov / var_x;
+  return std::max(0.0, var_y - slope * cov);
 }
 
 /// Final reduction of the 4 striped accumulator lanes; fixed order so

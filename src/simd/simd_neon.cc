@@ -105,6 +105,68 @@ void AddResidualNeon(double* acc, const double* c, const double* t,
   for (; i < n; ++i) acc[i] += c[i] - beta[i] * t[i];
 }
 
+bool ThreeSegmentScanNeon(const SegmentPrefixSums& prefix, size_t i,
+                          size_t j_begin, size_t j_end, double sse_left,
+                          std::span<const double> right_sse,
+                          double* best_sse, size_t* best_j) {
+  if (j_begin >= j_end) return false;
+  const float64x2_t sx_i = vdupq_n_f64(prefix.sx[i]);
+  const float64x2_t sy_i = vdupq_n_f64(prefix.sy[i]);
+  const float64x2_t sxx_i = vdupq_n_f64(prefix.sxx[i]);
+  const float64x2_t sxy_i = vdupq_n_f64(prefix.sxy[i]);
+  const float64x2_t syy_i = vdupq_n_f64(prefix.syy[i]);
+  const float64x2_t left = vdupq_n_f64(sse_left);
+  const float64x2_t flat_limit = vdupq_n_f64(1e-12);
+  const float64x2_t zero = vdupq_n_f64(0.0);
+  const float64x2_t two = vdupq_n_f64(2.0);
+  // Lane k holds the point count j - i of candidate j + k.
+  const double n0 = static_cast<double>(j_begin - i);
+  const double counts[2] = {n0, n0 + 1.0};
+  float64x2_t count = vld1q_f64(counts);
+  double best = *best_sse;
+  size_t best_at = *best_j;
+  bool improved = false;
+  size_t j = j_begin;
+  for (; j + 2 <= j_end; j += 2, count = vaddq_f64(count, two)) {
+    const float64x2_t sx = vsubq_f64(vld1q_f64(&prefix.sx[j]), sx_i);
+    const float64x2_t sy = vsubq_f64(vld1q_f64(&prefix.sy[j]), sy_i);
+    const float64x2_t sxx = vsubq_f64(vld1q_f64(&prefix.sxx[j]), sxx_i);
+    const float64x2_t sxy = vsubq_f64(vld1q_f64(&prefix.sxy[j]), sxy_i);
+    const float64x2_t syy = vsubq_f64(vld1q_f64(&prefix.syy[j]), syy_i);
+    const float64x2_t var_x =
+        vsubq_f64(sxx, vdivq_f64(vmulq_f64(sx, sx), count));
+    const float64x2_t cov =
+        vsubq_f64(sxy, vdivq_f64(vmulq_f64(sx, sy), count));
+    const float64x2_t var_y =
+        vsubq_f64(syy, vdivq_f64(vmulq_f64(sy, sy), count));
+    const float64x2_t slope = vdivq_f64(cov, var_x);
+    const float64x2_t sloped = vsubq_f64(var_y, vmulq_f64(slope, cov));
+    const float64x2_t raw =
+        vbslq_f64(vcleq_f64(var_x, flat_limit), var_y, sloped);
+    // Compare + select rather than FMAX: v > 0 ? v : 0 is
+    // std::max(0.0, v) for NaN and -0.0 too.
+    const float64x2_t mid = vbslq_f64(vcgtq_f64(raw, zero), raw, zero);
+    const float64x2_t left_mid = vaddq_f64(left, mid);
+    const float64x2_t total = vaddq_f64(left_mid, vld1q_f64(&right_sse[j]));
+    double left_mids[2];
+    double totals[2];
+    vst1q_f64(left_mids, left_mid);
+    vst1q_f64(totals, total);
+    for (size_t k = 0; k < 2; ++k) {
+      if (left_mids[k] < best && totals[k] < best) {
+        best = totals[k];
+        best_at = j + k;
+        improved = true;
+      }
+    }
+  }
+  improved |= ThreeSegmentScanScalar(prefix, i, j, j_end, sse_left,
+                                     right_sse, &best, &best_at);
+  *best_sse = best;
+  *best_j = best_at;
+  return improved;
+}
+
 size_t FindByteNeon(const char* data, size_t size, size_t pos, char needle) {
   const uint8x16_t needle_v = vdupq_n_u8(static_cast<uint8_t>(needle));
   size_t i = pos;

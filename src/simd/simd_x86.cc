@@ -260,6 +260,83 @@ SM_AVX2 void AddResidualAvx2(double* acc, const double* c, const double* t,
   for (; i < n; ++i) acc[i] += c[i] - beta[i] * t[i];
 }
 
+SM_AVX2 bool ThreeSegmentScanAvx2(const SegmentPrefixSums& prefix, size_t i,
+                                  size_t j_begin, size_t j_end,
+                                  double sse_left,
+                                  std::span<const double> right_sse,
+                                  double* best_sse, size_t* best_j) {
+  if (j_begin >= j_end) return false;
+  const __m256d sx_i = _mm256_set1_pd(prefix.sx[i]);
+  const __m256d sy_i = _mm256_set1_pd(prefix.sy[i]);
+  const __m256d sxx_i = _mm256_set1_pd(prefix.sxx[i]);
+  const __m256d sxy_i = _mm256_set1_pd(prefix.sxy[i]);
+  const __m256d syy_i = _mm256_set1_pd(prefix.syy[i]);
+  const __m256d left = _mm256_set1_pd(sse_left);
+  const __m256d flat_limit = _mm256_set1_pd(1e-12);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d four = _mm256_set1_pd(4.0);
+  // Lane k holds the point count j - i of candidate j + k; adding 4.0 to
+  // an integer-valued double below 2^53 is exact.
+  const double n0 = static_cast<double>(j_begin - i);
+  __m256d count = _mm256_setr_pd(n0, n0 + 1.0, n0 + 2.0, n0 + 3.0);
+  double best = *best_sse;
+  size_t best_at = *best_j;
+  bool improved = false;
+  size_t j = j_begin;
+  for (; j + 4 <= j_end; j += 4, count = _mm256_add_pd(count, four)) {
+    const __m256d sx = _mm256_sub_pd(_mm256_loadu_pd(&prefix.sx[j]), sx_i);
+    const __m256d sy = _mm256_sub_pd(_mm256_loadu_pd(&prefix.sy[j]), sy_i);
+    const __m256d sxx =
+        _mm256_sub_pd(_mm256_loadu_pd(&prefix.sxx[j]), sxx_i);
+    const __m256d sxy =
+        _mm256_sub_pd(_mm256_loadu_pd(&prefix.sxy[j]), sxy_i);
+    const __m256d syy =
+        _mm256_sub_pd(_mm256_loadu_pd(&prefix.syy[j]), syy_i);
+    // internal::SegmentSse, lane-wise: both branches are computed and the
+    // flat one (var_x <= 1e-12, false for NaN) selected per lane.
+    const __m256d var_x = _mm256_sub_pd(
+        sxx, _mm256_div_pd(_mm256_mul_pd(sx, sx), count));
+    const __m256d cov = _mm256_sub_pd(
+        sxy, _mm256_div_pd(_mm256_mul_pd(sx, sy), count));
+    const __m256d var_y = _mm256_sub_pd(
+        syy, _mm256_div_pd(_mm256_mul_pd(sy, sy), count));
+    const __m256d slope = _mm256_div_pd(cov, var_x);
+    const __m256d sloped = _mm256_sub_pd(var_y, _mm256_mul_pd(slope, cov));
+    const __m256d flat = _mm256_cmp_pd(var_x, flat_limit, _CMP_LE_OQ);
+    // max_pd(v, 0) = v > 0 ? v : 0, which is std::max(0.0, v) including
+    // NaN and -0.0 inputs.
+    const __m256d mid =
+        _mm256_max_pd(_mm256_blendv_pd(sloped, var_y, flat), zero);
+    const __m256d left_mid = _mm256_add_pd(left, mid);
+    const __m256d total =
+        _mm256_add_pd(left_mid, _mm256_loadu_pd(&right_sse[j]));
+    // A lane that cannot beat the best as of this vector cannot beat any
+    // later (smaller) best either, so only flagged lanes need the
+    // sequential lane-order resolution below.
+    const __m256d best_v = _mm256_set1_pd(best);
+    const int hits = _mm256_movemask_pd(
+        _mm256_and_pd(_mm256_cmp_pd(left_mid, best_v, _CMP_LT_OQ),
+                      _mm256_cmp_pd(total, best_v, _CMP_LT_OQ)));
+    if (hits == 0) continue;
+    alignas(32) double left_mids[4];
+    alignas(32) double totals[4];
+    _mm256_store_pd(left_mids, left_mid);
+    _mm256_store_pd(totals, total);
+    for (size_t k = 0; k < 4; ++k) {
+      if (left_mids[k] < best && totals[k] < best) {
+        best = totals[k];
+        best_at = j + k;
+        improved = true;
+      }
+    }
+  }
+  improved |= ThreeSegmentScanScalar(prefix, i, j, j_end, sse_left,
+                                     right_sse, &best, &best_at);
+  *best_sse = best;
+  *best_j = best_at;
+  return improved;
+}
+
 SM_AVX2 size_t FindByteAvx2(const char* data, size_t size, size_t pos,
                             char needle) {
   const __m256i needle_v = _mm256_set1_epi8(needle);

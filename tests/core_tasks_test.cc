@@ -1,5 +1,9 @@
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -9,6 +13,7 @@
 #include "core/similarity_task.h"
 #include "core/three_line_task.h"
 #include "datagen/temperature_model.h"
+#include "simd/simd.h"
 #include "timeseries/calendar.h"
 
 namespace smartmeter::core {
@@ -201,6 +206,280 @@ TEST(ThreeLineTaskTest, MinPointsPerBinFiltersSparseBins) {
   ASSERT_TRUE(result.ok());
   // The outlier bin was dropped: the fitted range ends well below 50 C.
   EXPECT_LT(result->p90.right.t_high, 20.0);
+}
+
+// ---------------------------------------------------------------------------
+// Breakpoint-search oracle: the exhaustive O(P^2) search as it stood
+// before the right-segment SSE was hoisted and the j scan vectorized,
+// kept verbatim apart from also reporting its winner. The production
+// search must agree with it bit for bit.
+// ---------------------------------------------------------------------------
+
+using internal::BandPoint;
+using internal::ThreeSegmentFit;
+
+class ReferenceSegmentFitter {
+ public:
+  explicit ReferenceSegmentFitter(const std::vector<BandPoint>& points) {
+    const size_t n = points.size();
+    sx_.assign(n + 1, 0.0);
+    sy_.assign(n + 1, 0.0);
+    sxx_.assign(n + 1, 0.0);
+    sxy_.assign(n + 1, 0.0);
+    syy_.assign(n + 1, 0.0);
+    for (size_t i = 0; i < n; ++i) {
+      const double x = points[i].temperature;
+      const double y = points[i].value;
+      sx_[i + 1] = sx_[i] + x;
+      sy_[i + 1] = sy_[i] + y;
+      sxx_[i + 1] = sxx_[i] + x * x;
+      sxy_[i + 1] = sxy_[i] + x * y;
+      syy_[i + 1] = syy_[i] + y * y;
+    }
+  }
+
+  stats::LinearFit Fit(size_t begin, size_t end, double* sse) const {
+    const double n = static_cast<double>(end - begin);
+    const double sx = sx_[end] - sx_[begin];
+    const double sy = sy_[end] - sy_[begin];
+    const double sxx = sxx_[end] - sxx_[begin];
+    const double sxy = sxy_[end] - sxy_[begin];
+    const double syy = syy_[end] - syy_[begin];
+    const double var_x = sxx - sx * sx / n;
+    const double cov = sxy - sx * sy / n;
+    const double var_y = syy - sy * sy / n;
+    stats::LinearFit fit;
+    fit.n = end - begin;
+    if (var_x <= 1e-12) {
+      fit.slope = 0.0;
+      fit.intercept = sy / n;
+      *sse = std::max(0.0, var_y);
+      return fit;
+    }
+    fit.slope = cov / var_x;
+    fit.intercept = (sy - fit.slope * sx) / n;
+    *sse = std::max(0.0, var_y - fit.slope * cov);
+    fit.r_squared = var_y > 0.0 ? 1.0 - *sse / var_y : 1.0;
+    return fit;
+  }
+
+ private:
+  std::vector<double> sx_, sy_, sxx_, sxy_, syy_;
+};
+
+ThreeSegmentFit ReferenceFitThreeSegments(const std::vector<BandPoint>& points,
+                                          int min_bins) {
+  const size_t n = points.size();
+  const ReferenceSegmentFitter fitter(points);
+  const size_t min_len = std::max<size_t>(
+      static_cast<size_t>(min_bins), n / 20);
+
+  ThreeSegmentFit out;
+  if (n < 3 * min_len || n < 6) {
+    const stats::LinearFit fit = fitter.Fit(0, n, &out.sse);
+    const double lo = points.front().temperature;
+    const double hi = points.back().temperature;
+    const double third = (hi - lo) / 3.0;
+    out.lines.left = {lo, lo + third, fit};
+    out.lines.mid = {lo + third, lo + 2 * third, fit};
+    out.lines.right = {lo + 2 * third, hi, fit};
+    return out;
+  }
+
+  double best_sse = std::numeric_limits<double>::infinity();
+  size_t best_i = min_len;
+  size_t best_j = 2 * min_len;
+  for (size_t i = min_len; i + 2 * min_len <= n; ++i) {
+    double sse_left = 0.0;
+    fitter.Fit(0, i, &sse_left);
+    if (sse_left >= best_sse) break;  // SSE(0, i) only grows with i.
+    for (size_t j = i + min_len; j + min_len <= n; ++j) {
+      double sse_mid = 0.0, sse_right = 0.0;
+      fitter.Fit(i, j, &sse_mid);
+      if (sse_left + sse_mid >= best_sse) continue;
+      fitter.Fit(j, n, &sse_right);
+      const double total = sse_left + sse_mid + sse_right;
+      if (total < best_sse) {
+        best_sse = total;
+        best_i = i;
+        best_j = j;
+      }
+    }
+  }
+
+  double unused = 0.0;
+  const stats::LinearFit left = fitter.Fit(0, best_i, &unused);
+  const stats::LinearFit mid = fitter.Fit(best_i, best_j, &unused);
+  const stats::LinearFit right = fitter.Fit(best_j, n, &unused);
+  const double t1 = 0.5 * (points[best_i - 1].temperature +
+                           points[best_i].temperature);
+  const double t2 = 0.5 * (points[best_j - 1].temperature +
+                           points[best_j].temperature);
+  out.lines.left = {points.front().temperature, t1, left};
+  out.lines.mid = {t1, t2, mid};
+  out.lines.right = {t2, points.back().temperature, right};
+  out.i = best_i;
+  out.j = best_j;
+  out.sse = best_sse;
+  return out;
+}
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+void ExpectSameSegment(const LineSegment& got, const LineSegment& want,
+                       const char* name) {
+  EXPECT_TRUE(SameBits(got.t_low, want.t_low)) << name;
+  EXPECT_TRUE(SameBits(got.t_high, want.t_high)) << name;
+  EXPECT_TRUE(SameBits(got.fit.slope, want.fit.slope)) << name;
+  EXPECT_TRUE(SameBits(got.fit.intercept, want.fit.intercept)) << name;
+  EXPECT_TRUE(SameBits(got.fit.r_squared, want.fit.r_squared)) << name;
+  EXPECT_EQ(got.fit.n, want.fit.n) << name;
+}
+
+/// Runs the production search at the dispatched level and pinned to
+/// scalar, checking both against the reference bit for bit.
+void ExpectMatchesReference(std::vector<BandPoint> points, int min_bins) {
+  std::sort(points.begin(), points.end());
+  const ThreeSegmentFit want = ReferenceFitThreeSegments(points, min_bins);
+  for (const simd::Level level :
+       {simd::DetectedLevel(), simd::Level::kScalar}) {
+    SCOPED_TRACE(testing::Message()
+                 << "n=" << points.size() << " min_bins=" << min_bins
+                 << " level=" << simd::LevelName(level));
+    const simd::ScopedLevel scoped(level);
+    const ThreeSegmentFit got = internal::FitThreeSegments(points, min_bins);
+    EXPECT_EQ(got.i, want.i);
+    EXPECT_EQ(got.j, want.j);
+    EXPECT_TRUE(SameBits(got.sse, want.sse)) << got.sse << " vs " << want.sse;
+    ExpectSameSegment(got.lines.left, want.lines.left, "left");
+    ExpectSameSegment(got.lines.mid, want.lines.mid, "mid");
+    ExpectSameSegment(got.lines.right, want.lines.right, "right");
+  }
+}
+
+/// A thermal-response band: V-shaped load over uniform temperatures.
+std::vector<BandPoint> RandomBand(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<BandPoint> points(n);
+  for (BandPoint& p : points) {
+    p.temperature = rng.Uniform(-10.0, 35.0);
+    p.value = 0.4 + 0.15 * std::max(0.0, 12.0 - p.temperature) +
+              0.1 * std::max(0.0, p.temperature - 20.0) +
+              0.3 * rng.NextDouble();
+  }
+  return points;
+}
+
+TEST(ThreeSegmentOracleTest, SeededRandomBandsMatchExhaustiveSearch) {
+  const size_t sizes[] = {6, 7, 8, 9, 13, 40, 41, 59, 60, 61, 137, 400, 901};
+  uint64_t seed = 100;
+  for (const size_t n : sizes) {
+    for (int rep = 0; rep < 3; ++rep) {
+      ExpectMatchesReference(RandomBand(n, ++seed), 2);
+    }
+  }
+  // Uncorrelated noise as well: breakpoints land anywhere.
+  for (int rep = 0; rep < 5; ++rep) {
+    Rng rng(++seed);
+    std::vector<BandPoint> points(250);
+    for (BandPoint& p : points) {
+      p.temperature = rng.Uniform(-5.0, 5.0);
+      p.value = rng.Uniform(0.0, 3.0);
+    }
+    ExpectMatchesReference(points, 3);
+  }
+}
+
+TEST(ThreeSegmentOracleTest, TieHeavyBandsMatchExhaustiveSearch) {
+  uint64_t seed = 500;
+  for (const size_t n : {12, 31, 64, 200, 777}) {
+    for (const int distinct : {1, 2, 5, 17}) {
+      Rng rng(++seed);
+      // Duplicate temperatures: many segments have var_x <= 1e-12 and
+      // take the flat branch.
+      std::vector<BandPoint> constant(n);
+      std::vector<BandPoint> stepped(n);
+      for (size_t k = 0; k < n; ++k) {
+        const double t = static_cast<double>(rng.UniformInt(distinct));
+        constant[k] = {t, 0.7};
+        stepped[k] = {t, t < distinct / 2.0 ? 1.25 : 0.5};
+      }
+      ExpectMatchesReference(constant, 2);
+      ExpectMatchesReference(stepped, 2);
+    }
+    // Constant consumption over distinct temperatures: every candidate
+    // total is (close to) zero.
+    std::vector<BandPoint> flat(n);
+    for (size_t k = 0; k < n; ++k) {
+      flat[k] = {static_cast<double>(k) * 0.25, 1.5};
+    }
+    ExpectMatchesReference(flat, 2);
+  }
+  // Temperatures a hair apart: segment var_x straddles the 1e-12 flat
+  // threshold, so both branches of the fit meet in one search.
+  for (const size_t n : {60, 300, 900}) {
+    Rng rng(++seed);
+    std::vector<BandPoint> near_flat(n);
+    for (BandPoint& p : near_flat) {
+      p.temperature = 1e-7 * static_cast<double>(rng.UniformInt(5));
+      p.value = rng.Uniform(0.0, 2.0);
+    }
+    ExpectMatchesReference(near_flat, 2);
+  }
+  // Few temperatures and small-integer consumption: different splits
+  // produce bitwise-equal totals, so the first-minimum rule decides
+  // the winner in a few percent of these bands.
+  for (int rep = 0; rep < 2000; ++rep) {
+    Rng rng(++seed);
+    const size_t n = 12 + rng.UniformInt(40);
+    const uint64_t distinct = 1 + rng.UniformInt(3);
+    std::vector<BandPoint> quantized(n);
+    for (BandPoint& p : quantized) {
+      p.temperature = static_cast<double>(rng.UniformInt(distinct));
+      p.value = static_cast<double>(std::max<uint64_t>(rng.UniformInt(5), 2) - 2);
+    }
+    ExpectMatchesReference(quantized, 2);
+  }
+}
+
+TEST(ThreeSegmentOracleTest, MinimumLengthBoundaryMatchesExhaustiveSearch) {
+  uint64_t seed = 900;
+  for (const int min_bins : {2, 3, 4, 5, 7, 10, 20, 33}) {
+    const size_t boundary = 3 * static_cast<size_t>(min_bins);
+    // n == 3 * min_len admits exactly one split; one fewer point falls
+    // back to a single line, one more admits a handful.
+    for (const size_t n : {boundary - 1, boundary, boundary + 1,
+                           boundary + 2, boundary + 5}) {
+      ExpectMatchesReference(RandomBand(n, ++seed), min_bins);
+    }
+  }
+}
+
+TEST(ThreeSegmentOracleTest, ComputeThreeLineIsLevelIndependent) {
+  for (const uint64_t seed : {7u, 23u, 41u}) {
+    const SyntheticConsumer c =
+        MakeThermalConsumer(0.4, 0.15, 12.0, 0.10, 20.0, 0.2, seed);
+    Result<ThreeLineResult> scalar = Status::Internal("unset");
+    {
+      const simd::ScopedLevel scoped(simd::Level::kScalar);
+      scalar = ComputeThreeLine(c.consumption, c.temperature, 1);
+    }
+    const Result<ThreeLineResult> detected =
+        ComputeThreeLine(c.consumption, c.temperature, 1);
+    ASSERT_TRUE(scalar.ok() && detected.ok());
+    for (const auto& [got, want] :
+         {std::pair{&detected->p90, &scalar->p90},
+          std::pair{&detected->p10, &scalar->p10}}) {
+      ExpectSameSegment(got->left, want->left, "left");
+      ExpectSameSegment(got->mid, want->mid, "mid");
+      ExpectSameSegment(got->right, want->right, "right");
+    }
+    EXPECT_TRUE(SameBits(detected->heating_gradient, scalar->heating_gradient));
+    EXPECT_TRUE(SameBits(detected->cooling_gradient, scalar->cooling_gradient));
+    EXPECT_TRUE(SameBits(detected->base_load, scalar->base_load));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -276,6 +276,181 @@ TEST(SimdParityTest, AddResidualMatchesScalarBitwise) {
 }
 
 // ---------------------------------------------------------------------------
+// 3-line breakpoint scan parity
+// ---------------------------------------------------------------------------
+
+/// Prefix sums over (x, y) points in the layout the 3-line search uses.
+struct OwnedPrefix {
+  std::vector<double> sx, sy, sxx, sxy, syy;
+
+  SegmentPrefixSums view() const { return {sx, sy, sxx, sxy, syy}; }
+};
+
+OwnedPrefix PrefixOf(const std::vector<double>& x,
+                     const std::vector<double>& y) {
+  OwnedPrefix p;
+  for (std::vector<double>* v : {&p.sx, &p.sy, &p.sxx, &p.sxy, &p.syy}) {
+    v->assign(x.size() + 1, 0.0);
+  }
+  for (size_t k = 0; k < x.size(); ++k) {
+    p.sx[k + 1] = p.sx[k] + x[k];
+    p.sy[k + 1] = p.sy[k] + y[k];
+    p.sxx[k + 1] = p.sxx[k] + x[k] * x[k];
+    p.sxy[k + 1] = p.sxy[k] + x[k] * y[k];
+    p.syy[k + 1] = p.syy[k] + y[k] * y[k];
+  }
+  return p;
+}
+
+struct ScanOutcome {
+  bool improved = false;
+  double best_sse = 0.0;
+  size_t best_j = 0;
+};
+
+/// Runs the dispatched kernel and its scalar twin from the same running
+/// best and checks they agree; returns the dispatched outcome.
+ScanOutcome ExpectScanParity(const OwnedPrefix& prefix, size_t i,
+                             size_t j_begin, size_t j_end, double sse_left,
+                             const std::vector<double>& right_sse,
+                             double best_sse) {
+  constexpr size_t kNoBest = 12345;
+  ScanOutcome v{false, best_sse, kNoBest};
+  ScanOutcome s{false, best_sse, kNoBest};
+  v.improved = ThreeSegmentScan(prefix.view(), i, j_begin, j_end, sse_left,
+                                right_sse, &v.best_sse, &v.best_j);
+  s.improved = ThreeSegmentScanScalar(prefix.view(), i, j_begin, j_end,
+                                      sse_left, right_sse, &s.best_sse,
+                                      &s.best_j);
+  EXPECT_EQ(v.improved, s.improved);
+  EXPECT_TRUE(ParityEqual(v.best_sse, s.best_sse))
+      << v.best_sse << " vs " << s.best_sse;
+  EXPECT_EQ(v.best_j, s.best_j);
+  // The outputs move exactly when the kernel reports an improvement.
+  EXPECT_EQ(v.improved, v.best_j != kNoBest);
+  EXPECT_EQ(v.improved, !BitEqual(v.best_sse, best_sse));
+  return v;
+}
+
+TEST(SimdParityTest, ThreeSegmentScanMatchesScalarOverShortScans) {
+  constexpr size_t kPoints = 40;
+  const std::vector<double> x = RandomSeries(kPoints, 71);
+  const std::vector<double> y = RandomSeries(kPoints, 73);
+  const OwnedPrefix prefix = PrefixOf(x, y);
+  std::vector<double> right_sse = RandomSeries(kPoints + 1, 79);
+  for (double& r : right_sse) r = std::abs(r) * 1e3;
+  for (const size_t i : {size_t{0}, size_t{1}, size_t{3}, size_t{6}}) {
+    // Scan lengths 0-9 cover an empty scan, pure tails, one and two full
+    // vectors, and every tail length after them.
+    for (size_t len = 0; len <= 9; ++len) {
+      for (const size_t gap : {size_t{1}, size_t{2}, size_t{5}}) {
+        const size_t j_begin = i + gap;
+        for (const double sse_left : {0.0, 2.5e3}) {
+          for (const double best : {kInf, 6.0e4, 0.0}) {
+            SCOPED_TRACE(testing::Message()
+                         << "i=" << i << " len=" << len << " gap=" << gap
+                         << " left=" << sse_left << " best=" << best);
+            ExpectScanParity(prefix, i, j_begin, j_begin + len, sse_left,
+                             right_sse, best);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdParityTest, ThreeSegmentScanFirstMinimumWins) {
+  // Every x equal and every y zero: each middle segment takes the flat
+  // branch with SSE exactly 0, so totals are sse_left + right_sse[j].
+  constexpr size_t kPoints = 24;
+  const OwnedPrefix prefix = PrefixOf(std::vector<double>(kPoints, 1.0),
+                                      std::vector<double>(kPoints, 0.0));
+  constexpr size_t kI = 1;
+  constexpr size_t kBegin = 3;  // Unaligned start.
+  constexpr size_t kEnd = kBegin + 14;
+  auto run = [&](const std::vector<double>& right_sse) {
+    return ExpectScanParity(prefix, kI, kBegin, kEnd, 0.5, right_sse, kInf);
+  };
+
+  // All totals equal: the first candidate wins.
+  ScanOutcome out = run(std::vector<double>(kPoints + 1, 2.0));
+  EXPECT_EQ(out.best_j, kBegin);
+  EXPECT_EQ(out.best_sse, 2.5);
+
+  // Equal minima in lanes 1 and 3 of the first vector.
+  std::vector<double> within(kPoints + 1, 3.0);
+  within[kBegin + 1] = 1.0;
+  within[kBegin + 3] = 1.0;
+  out = run(within);
+  EXPECT_EQ(out.best_j, kBegin + 1);
+  EXPECT_EQ(out.best_sse, 1.5);
+
+  // Equal minima in different vectors (and in the tail).
+  std::vector<double> across(kPoints + 1, 3.0);
+  across[kBegin + 5] = 1.0;
+  across[kBegin + 9] = 1.0;
+  across[kBegin + 13] = 1.0;
+  out = run(across);
+  EXPECT_EQ(out.best_j, kBegin + 5);
+
+  // Lanes improve one after another inside one vector: the running best
+  // tightens lane by lane, so a later, smaller lane still wins.
+  std::vector<double> falling(kPoints + 1, 9.0);
+  falling[kBegin + 0] = 4.0;
+  falling[kBegin + 1] = 3.0;
+  falling[kBegin + 2] = 1.0;
+  falling[kBegin + 3] = 2.0;
+  out = run(falling);
+  EXPECT_EQ(out.best_j, kBegin + 2);
+  EXPECT_EQ(out.best_sse, 1.5);
+
+  // A lane below the incoming best but above one already taken this
+  // vector must not displace it.
+  out = ExpectScanParity(prefix, kI, kBegin, kBegin + 4, 0.5, falling, 5.0);
+  EXPECT_EQ(out.best_j, kBegin + 2);
+
+  // Nothing beats a best of 0: no update at all.
+  out = ExpectScanParity(prefix, kI, kBegin, kEnd, 0.0, within, 0.0);
+  EXPECT_FALSE(out.improved);
+}
+
+TEST(SimdParityTest, ThreeSegmentScanJunkSumsFollowContract) {
+  constexpr size_t kPoints = 32;
+  const std::vector<double> x = RandomSeries(kPoints, 83);
+  const std::vector<double> y = RandomSeries(kPoints, 89);
+  const std::vector<double> right_clean(kPoints + 1, 10.0);
+  for (const double junk : {kNaN, kInf, -kInf}) {
+    for (const size_t at : {size_t{2}, size_t{9}, size_t{14}, size_t{30}}) {
+      // Junk in one prefix column at a time, both as a candidate's sum
+      // and (at = 2) as the broadcast left edge i.
+      for (int column = 0; column < 5; ++column) {
+        OwnedPrefix prefix = PrefixOf(x, y);
+        std::vector<double>* cols[] = {&prefix.sx, &prefix.sy, &prefix.sxx,
+                                       &prefix.sxy, &prefix.syy};
+        (*cols[column])[at] = junk;
+        for (size_t len = 0; len <= 9; ++len) {
+          SCOPED_TRACE(testing::Message() << "junk=" << junk << " at=" << at
+                                          << " column=" << column
+                                          << " len=" << len);
+          ExpectScanParity(prefix, 2, 5, 5 + len, 1.0, right_clean, kInf);
+          ExpectScanParity(prefix, 2, 9, 9 + len + 10, 1.0, right_clean,
+                           kInf);
+        }
+      }
+    }
+    // Junk right-segment SSEs and a junk left SSE.
+    const OwnedPrefix prefix = PrefixOf(x, y);
+    std::vector<double> right_junk(kPoints + 1, 10.0);
+    right_junk[6] = junk;
+    right_junk[11] = junk;
+    for (size_t len = 0; len <= 9; ++len) {
+      ExpectScanParity(prefix, 1, 4, 4 + len, 1.0, right_junk, kInf);
+      ExpectScanParity(prefix, 1, 4, 4 + len, junk, right_clean, kInf);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Byte-scan parity
 // ---------------------------------------------------------------------------
 
