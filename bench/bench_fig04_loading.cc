@@ -6,18 +6,32 @@
 // index maintenance), bulk-loading one big CSV faster than many small
 // files; System C fast and insensitive to file count; Matlab performs no
 // load at all -- its single bar is the cost of splitting the big file
-// into per-consumer files.
+// into per-consumer files. With --report=, each bar is also one run row
+// (task "load", attach_seconds = the bar).
 #include <cstdio>
 
 #include "bench_common.h"
 #include "common/stopwatch.h"
 #include "engines/engine_factory.h"
+#include "obs/report.h"
 #include "storage/csv.h"
+#include "table/data_source.h"
 
 namespace {
 
 using namespace smartmeter;        // NOLINT
 using namespace smartmeter::bench;  // NOLINT
+
+/// One report row per (platform, layout) bar of the figure.
+void AddLoadRun(BenchContext& ctx, std::string_view engine,
+                std::string_view layout, double seconds) {
+  obs::RunRecord rec;
+  rec.engine = std::string(engine);
+  rec.task = "load";
+  rec.layout = std::string(layout);
+  rec.attach_seconds = seconds;
+  ctx.report().AddRun(rec);
+}
 
 int Run(BenchContext& ctx) {
   const double paper_gb = ctx.flags().GetDouble("paper-gb", 5.0);
@@ -50,6 +64,8 @@ int Run(BenchContext& ctx) {
     if (!split.ok()) return 1;
     const double split_seconds = split_clock.ElapsedSeconds();
     PrintRow({"matlab (file split only)", Cell(split_seconds), "n/a"});
+    AddLoadRun(ctx, "matlab", table::DataSourceLayoutName(part->layout),
+               split_seconds);
   }
 
   for (engines::EngineKind kind :
@@ -77,6 +93,10 @@ int Run(BenchContext& ctx) {
     }
     PrintRow({std::string(engines::EngineKindName(kind)),
               Cell(part_seconds), Cell(single_seconds)});
+    AddLoadRun(ctx, engines::EngineKindName(kind),
+               table::DataSourceLayoutName(part->layout), part_seconds);
+    AddLoadRun(ctx, engines::EngineKindName(kind),
+               table::DataSourceLayoutName(single->layout), single_seconds);
   }
   std::printf(
       "\nShape to check against the paper: MADLib slowest (and slower on "

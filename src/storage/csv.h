@@ -97,7 +97,9 @@ class ReadingCsvReader {
   Status Open();
 
   /// Reads the next row into `row`. Returns false at EOF. Malformed rows
-  /// surface through status() as "<path>:<line>: <field error>".
+  /// surface through status() as "<path>:<line>: <field error>". Rows
+  /// read are added to the csv.rows_scanned counter once the reader
+  /// stops: at EOF, on an error, or when it is destroyed.
   bool Next(ReadingRow* row);
 
   const Status& status() const { return status_; }
@@ -106,6 +108,9 @@ class ReadingCsvReader {
   size_t line_number() const { return line_number_; }
 
  private:
+  /// Adds the rows read since the last call to csv.rows_scanned.
+  void PublishRows();
+
   std::string path_;
   FILE* file_ = nullptr;
   /// Block buffer: Next() slices lines out of 64 KiB reads instead of
@@ -114,12 +119,15 @@ class ReadingCsvReader {
   size_t buffer_pos_ = 0;
   bool eof_ = false;
   size_t line_number_ = 0;
+  int64_t unpublished_rows_ = 0;
   Status status_;
 };
 
-/// Parses a single reading-per-line row in one pass (fields sliced in
-/// place, from_chars numeric fast path). Errors name the failing field
-/// and its 1-based column.
+/// Parses a single reading-per-line row. Rows in the strict form the
+/// writers produce ("d{1,9},d{1,9},[-]d+[.d+],[-]d+[.d+]", at most 15
+/// digits per decimal) take an exact fast path whose values equal
+/// from_chars's bit for bit; any other line goes through the general
+/// field parser. Errors name the failing field and its 1-based column.
 Result<ReadingRow> ParseReadingRow(std::string_view line);
 
 }  // namespace smartmeter::storage
