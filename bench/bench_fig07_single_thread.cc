@@ -9,11 +9,15 @@
 // Expected shape (paper): System C clearly fastest everywhere; Matlab
 // runner-up except histogram (where MADLib does fine); MADLib worst for
 // 3-line, PAR and similarity; similarity is the most expensive task.
+// With --report=, each cell is also one run row (threads 1, cold,
+// task_seconds = the cell, households = the size point).
 #include <cstdio>
 #include <map>
 
 #include "bench_common.h"
 #include "engines/engine_factory.h"
+#include "obs/report.h"
+#include "table/data_source.h"
 
 namespace {
 
@@ -60,6 +64,14 @@ int Run(BenchContext& ctx) {
           return 1;
         }
         results[task][paper_gb][e] = metrics->seconds;
+        obs::RunRecord rec;
+        rec.engine = std::string(engines::EngineKindName(kEngines[e]));
+        rec.task = std::string(core::TaskName(task));
+        rec.layout = std::string(table::DataSourceLayoutName(source->layout));
+        rec.threads = 1;
+        rec.task_seconds = metrics->seconds;
+        rec.households = households;
+        ctx.report().AddRun(rec);
       }
     }
   }

@@ -167,7 +167,15 @@ void BM_TopKSimilarity(benchmark::State& state) {
   }
   state.SetComplexityN(n);
 }
-BENCHMARK(BM_TopKSimilarity)->Arg(16)->Arg(32)->Arg(64)->Complexity(benchmark::oNSquared);
+// 400 x 8760 is the batch workload's similarity input (400 households,
+// a year of hourly readings); its candidate rows (28 MB) outgrow L2.
+BENCHMARK(BM_TopKSimilarity)
+    ->Arg(16)
+    ->Arg(32)
+    ->Arg(64)
+    ->Arg(400)
+    ->Unit(benchmark::kMillisecond)
+    ->Complexity(benchmark::oNSquared);
 
 // ---------------------------------------------------------------------------
 // Vector-vs-scalar panels for the SIMD layer. Each kernel appears twice:
@@ -191,6 +199,27 @@ void BM_SimdDot8760(benchmark::State& state) {
   state.SetLabel(std::string(simd::LevelName(simd::ActiveLevel())));
 }
 BENCHMARK(BM_SimdDot8760)->Arg(0)->Arg(1);
+
+// One similarity query block: 8 query rows against 400 candidate rows of
+// a year each, the tiled kernel vs the per-pair scalar loop.
+void BM_SimdDotBlock8x400(benchmark::State& state) {
+  const simd::ScopedLevel guard(PanelLevel(state.range(0)));
+  std::vector<std::vector<double>> series;
+  std::vector<const double*> rows;
+  for (int i = 0; i < 400; ++i) {
+    series.push_back(RandomSeries(kHoursPerYear, 500 + i));
+    rows.push_back(series.back().data());
+  }
+  const std::span<const double* const> queries(rows.data(), 8);
+  std::vector<double> out(8 * rows.size());
+  for (auto _ : state) {
+    simd::DotBlock(queries, rows, kHoursPerYear, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(std::string(simd::LevelName(simd::ActiveLevel())));
+}
+BENCHMARK(BM_SimdDotBlock8x400)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_SimdHistogramBin8760(benchmark::State& state) {
   const simd::ScopedLevel guard(PanelLevel(state.range(0)));

@@ -3,11 +3,20 @@
 #include <algorithm>
 #include <numeric>
 
+#include "simd/simd.h"
 #include "stats/distance.h"
 #include "stats/sax.h"
 #include "stats/topk.h"
 
 namespace smartmeter::core {
+
+namespace {
+
+// Query rows per DotBlock call: each candidate row is read once per
+// block, and `ctx` is polled once per block.
+constexpr size_t kQueryBlock = 8;
+
+}  // namespace
 
 std::vector<double> ComputeNorms(std::span<const SeriesView> series) {
   std::vector<double> norms;
@@ -39,25 +48,35 @@ Result<std::vector<SimilarityResult>> ComputeSimilarityTopKRange(
     }
   }
 
+  const size_t n = series.size();
+  std::vector<const double*> rows(n);
+  for (size_t i = 0; i < n; ++i) rows[i] = series[i].values.data();
+  std::vector<double> dots(std::min(kQueryBlock, query_end - query_begin) *
+                           n);
   std::vector<SimilarityResult> results;
   results.reserve(query_end - query_begin);
-  for (size_t q = query_begin; q < query_end; ++q) {
+  for (size_t block = query_begin; block < query_end; block += kQueryBlock) {
     if (ctx != nullptr && ctx->ShouldStop()) return ctx->CheckNotStopped();
-    stats::TopK<int64_t> top(static_cast<size_t>(options.k));
-    for (size_t o = 0; o < series.size(); ++o) {
-      if (o == q) continue;
-      const double cosine = stats::CosineSimilarityPrenormed(
-          series[q].values, norms[q], series[o].values, norms[o]);
-      top.Offer(cosine, series[o].household_id);
+    const size_t m = std::min(kQueryBlock, query_end - block);
+    simd::DotBlock(std::span(rows).subspan(block, m), rows, length,
+                   std::span(dots).first(m * n));
+    for (size_t q = block; q < block + m; ++q) {
+      const double* q_dots = dots.data() + (q - block) * n;
+      stats::TopK<int64_t> top(static_cast<size_t>(options.k));
+      for (size_t o = 0; o < n; ++o) {
+        if (o == q) continue;
+        top.Offer(stats::CosineFromDot(q_dots[o], norms[q], norms[o]),
+                  series[o].household_id);
+      }
+      SimilarityResult result;
+      result.household_id = series[q].household_id;
+      const auto sorted = top.Sorted();
+      result.matches.reserve(sorted.size());
+      for (const auto& entry : sorted) {
+        result.matches.push_back({entry.id, entry.score});
+      }
+      results.push_back(std::move(result));
     }
-    SimilarityResult result;
-    result.household_id = series[q].household_id;
-    const auto sorted = top.Sorted();
-    result.matches.reserve(sorted.size());
-    for (const auto& entry : sorted) {
-      result.matches.push_back({entry.id, entry.score});
-    }
-    results.push_back(std::move(result));
   }
   return results;
 }

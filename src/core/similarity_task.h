@@ -28,8 +28,10 @@ struct SeriesView {
 /// precomputed norms: O(n^2 * length) time, O(n * k) output. Result order
 /// follows the input; matches are sorted best-first with ties broken by
 /// household id. Fails if fewer than two series are given or lengths
-/// mismatch. This quadratic scan is the benchmark's longest: `ctx` is
-/// polled once per query row so cancellation lands within one row's work.
+/// mismatch. This quadratic scan is the benchmark's longest. Dot
+/// products run in blocks of 8 query rows against every candidate
+/// (simd::DotBlock, bitwise the per-pair Dot), and `ctx` is polled once
+/// per query block, so cancellation lands within one block's work.
 Result<std::vector<SimilarityResult>> ComputeSimilarityTopK(
     std::span<const SeriesView> series, const SimilarityOptions& options = {},
     const exec::QueryContext* ctx = nullptr);
@@ -69,9 +71,9 @@ struct ApproxSimilarityOptions {
 /// Approximate top-k similarity search: ranks candidate pairs by the SAX
 /// MINDIST lower bound over z-normalized series (O(word) per pair rather
 /// than O(length)), then evaluates exact cosine similarity only on the
-/// best candidates. Trades a little recall for a large constant-factor
-/// speedup of the quadratic task; `bench_ablation_sax` quantifies the
-/// trade. Result layout matches ComputeSimilarityTopK.
+/// best candidates, one per-pair Dot each. Trades recall for fewer exact
+/// dot products; `bench_ablation_sax` quantifies the trade against the
+/// blocked exact kernel. Result layout matches ComputeSimilarityTopK.
 Result<std::vector<SimilarityResult>> ComputeSimilarityTopKApprox(
     std::span<const SeriesView> series,
     const ApproxSimilarityOptions& options = {},

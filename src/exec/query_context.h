@@ -44,9 +44,9 @@ std::string_view QueryPriorityName(QueryPriority priority);
 /// metrics and trace spans.
 ///
 /// Kernels poll ShouldStop() between units of work (one household, one
-/// similarity query row) and bail out with CheckNotStopped()'s status,
-/// so a cancelled or timed-out query stops scanning within one unit of
-/// work rather than running to completion.
+/// block of similarity query rows) and bail out with CheckNotStopped()'s
+/// status, so a cancelled or timed-out query stops scanning within one
+/// unit of work rather than running to completion.
 class QueryContext {
  public:
   using Clock = std::chrono::steady_clock;

@@ -18,6 +18,7 @@ JsonValue RunToJson(const RunRecord& run) {
   j.Set("warmup_seconds", JsonValue(run.warmup_seconds));
   j.Set("task_seconds", JsonValue(run.task_seconds));
   j.Set("memory_bytes", JsonValue(run.memory_bytes));
+  if (run.households != 0) j.Set("households", JsonValue(run.households));
   JsonValue phases = JsonValue::Object();
   phases.Set("quantile_seconds", JsonValue(run.quantile_seconds));
   phases.Set("regression_seconds", JsonValue(run.regression_seconds));
@@ -111,6 +112,7 @@ RunRecord RunFromJson(const JsonValue& j) {
   run.warmup_seconds = j.Get("warmup_seconds").AsDouble();
   run.task_seconds = j.Get("task_seconds").AsDouble();
   run.memory_bytes = j.Get("memory_bytes").AsInt();
+  if (j.Has("households")) run.households = j.Get("households").AsInt();
   const JsonValue& phases = j.Get("phases");
   run.quantile_seconds = phases.Get("quantile_seconds").AsDouble();
   run.regression_seconds = phases.Get("regression_seconds").AsDouble();

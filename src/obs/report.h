@@ -51,6 +51,10 @@ struct RunRecord {
   double warmup_seconds = 0.0;
   double task_seconds = 0.0;
   int64_t memory_bytes = 0;
+  /// Input size of benches that sweep the data size (Figure 7's paper-GB
+  /// points). Zero suppresses the JSON key, so reports of benches with a
+  /// fixed input round-trip unchanged.
+  int64_t households = 0;
   /// Figure 6 three-line phase split (zero for other tasks).
   double quantile_seconds = 0.0;
   double regression_seconds = 0.0;

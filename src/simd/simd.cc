@@ -93,6 +93,16 @@ double DotScalar(std::span<const double> x, std::span<const double> y) {
   return internal::ReduceLanes(lanes);
 }
 
+void DotBlockScalar(std::span<const double* const> xs,
+                    std::span<const double* const> ys, size_t length,
+                    std::span<double> out) {
+  for (size_t a = 0; a < xs.size(); ++a) {
+    for (size_t b = 0; b < ys.size(); ++b) {
+      out[a * ys.size() + b] = DotScalar({xs[a], length}, {ys[b], length});
+    }
+  }
+}
+
 void MinMaxScalar(std::span<const double> values, double* min, double* max) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   double mins[4] = {kInf, kInf, kInf, kInf};
@@ -249,6 +259,31 @@ double Dot(std::span<const double> x, std::span<const double> y) {
 #endif
     default:
       return DotScalar(x, y);
+  }
+}
+
+void DotBlock(std::span<const double* const> xs,
+              std::span<const double* const> ys, size_t length,
+              std::span<double> out) {
+  switch (ActiveLevel()) {
+#if SM_SIMD_X86
+    case Level::kAVX2:
+      arch::DotBlockAvx2(xs.data(), xs.size(), ys.data(), ys.size(), length,
+                         out.data());
+      return;
+#endif
+#if SM_SIMD_NEON
+    case Level::kNEON:
+      // No tiled NEON body: the per-pair kernel, in block order.
+      for (size_t a = 0; a < xs.size(); ++a) {
+        for (size_t b = 0; b < ys.size(); ++b) {
+          out[a * ys.size() + b] = arch::DotNeon(xs[a], ys[b], length);
+        }
+      }
+      return;
+#endif
+    default:
+      DotBlockScalar(xs, ys, length, out);
   }
 }
 

@@ -30,6 +30,11 @@ namespace smartmeter::simd {
 /// builds. Parity therefore means: bit-identical whenever the result is
 /// not NaN; both-NaN otherwise.
 ///
+/// The all-pairs block kernel (DotBlock) keeps that order per pair: a
+/// tile of pairs advances together over a length chunk, but every pair
+/// has its own 4-lane accumulator that sees its products in increasing
+/// element order, so each output is bitwise the per-pair Dot.
+///
 /// The 3-line breakpoint scan (ThreeSegmentScan) is element-wise too:
 /// each lane evaluates one candidate breakpoint with the scalar
 /// operation sequence, and lanes that beat the running best are
@@ -86,6 +91,22 @@ class ScopedLevel {
 /// the same length; the hot loop of similarity search.
 double Dot(std::span<const double> x, std::span<const double> y);
 double DotScalar(std::span<const double> x, std::span<const double> y);
+
+/// All-pairs dot products of a block of rows: out[a * ys.size() + b] is
+/// bitwise Dot(xs[a], ys[b]) (NaN results: both NaN, see above). Every
+/// row holds `length` doubles; out.size() must be xs.size() * ys.size().
+/// The AVX2 form runs register micro-tiles of up to 4 x 2 pairs over
+/// L1-sized length chunks, so each candidate row is read once per block
+/// rather than once per pair; each pair still keeps its own striped
+/// accumulator with Dot's addition order, and only the order in which
+/// pairs advance changes. The scalar and NEON forms call the per-pair
+/// kernel. Similarity search runs its query blocks through this.
+void DotBlock(std::span<const double* const> xs,
+              std::span<const double* const> ys, size_t length,
+              std::span<double> out);
+void DotBlockScalar(std::span<const double* const> xs,
+                    std::span<const double* const> ys, size_t length,
+                    std::span<double> out);
 
 /// NaN-ignoring min/max: lanes update with `v < m ? v : m`, so a NaN
 /// element never replaces the accumulator. Empty input yields

@@ -28,6 +28,8 @@ namespace smartmeter::simd::arch {
 
 #if SM_SIMD_X86
 double DotAvx2(const double* x, const double* y, size_t n);
+void DotBlockAvx2(const double* const* xs, size_t m, const double* const* ys,
+                  size_t n, size_t length, double* out);
 void MinMaxAvx2(const double* values, size_t n, double* min, double* max);
 void HistogramBinAvx2(const double* values, size_t n, double min,
                       double width, int64_t* counts, size_t num_buckets);

@@ -10,7 +10,9 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <limits>
+#include <vector>
 
 #include "simd/simd.h"
 #include "simd/simd_internal.h"
@@ -31,6 +33,107 @@ SM_AVX2 double DotAvx2(const double* x, const double* y, size_t n) {
   _mm256_store_pd(lanes, acc);
   for (; i < n; ++i) lanes[0] += x[i] * y[i];
   return internal::ReduceLanes(lanes);
+}
+
+namespace {
+
+// Length chunk of the tiled dot products (doubles). An 8-row query chunk
+// (16 KiB) plus a 4-row candidate panel chunk (8 KiB) stay in L1 while
+// the candidates stream past, so each candidate row is read once per
+// query block instead of once per query.
+constexpr size_t kDotChunk = 256;
+
+// One register micro-tile: A query rows x B candidate rows over the
+// 4-aligned elements [begin, end). Pair (a, b) keeps its own striped
+// accumulator in acc[4 * (a * stride + b)] across chunks and adds
+// x[i + l] * y[i + l] to lane l in increasing i, which is DotAvx2's
+// sequence for that pair; only the order in which pairs advance differs.
+template <size_t A, size_t B>
+SM_AVX2 inline void DotTileAvx2(const double* const* xs,
+                                const double* const* ys, size_t begin,
+                                size_t end, double* acc, size_t stride) {
+  __m256d sum[A][B];
+#pragma GCC unroll 4
+  for (size_t a = 0; a < A; ++a) {
+#pragma GCC unroll 4
+    for (size_t b = 0; b < B; ++b) {
+      sum[a][b] = _mm256_loadu_pd(acc + 4 * (a * stride + b));
+    }
+  }
+  for (size_t i = begin; i < end; i += 4) {
+    __m256d y[B];
+#pragma GCC unroll 4
+    for (size_t b = 0; b < B; ++b) y[b] = _mm256_loadu_pd(ys[b] + i);
+#pragma GCC unroll 4
+    for (size_t a = 0; a < A; ++a) {
+      const __m256d x = _mm256_loadu_pd(xs[a] + i);
+#pragma GCC unroll 4
+      for (size_t b = 0; b < B; ++b) {
+        sum[a][b] = _mm256_add_pd(sum[a][b], _mm256_mul_pd(x, y[b]));
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (size_t a = 0; a < A; ++a) {
+#pragma GCC unroll 4
+    for (size_t b = 0; b < B; ++b) {
+      _mm256_storeu_pd(acc + 4 * (a * stride + b), sum[a][b]);
+    }
+  }
+}
+
+// A panel of W (4 or 1) candidate rows against all m query rows: query
+// rows go in groups of 4, then 2, then 1, each group as tiles of at
+// least 4 pairs where the panel allows (4x2, 2x4, 1x4), so a 1- to
+// 3-row block still runs four or more independent add chains.
+template <size_t W>
+SM_AVX2 inline void DotPanelAvx2(const double* const* xs, size_t m,
+                                 const double* const* ys, size_t begin,
+                                 size_t end, double* acc, size_t stride) {
+  size_t a = 0;
+  for (; a + 4 <= m; a += 4) {
+    double* row = acc + 4 * a * stride;
+    if constexpr (W == 4) {
+      DotTileAvx2<4, 2>(xs + a, ys, begin, end, row, stride);
+      DotTileAvx2<4, 2>(xs + a, ys + 2, begin, end, row + 8, stride);
+    } else {
+      DotTileAvx2<4, W>(xs + a, ys, begin, end, row, stride);
+    }
+  }
+  if (a + 2 <= m) {
+    DotTileAvx2<2, W>(xs + a, ys, begin, end, acc + 4 * a * stride, stride);
+    a += 2;
+  }
+  if (a < m) {
+    DotTileAvx2<1, W>(xs + a, ys, begin, end, acc + 4 * a * stride, stride);
+  }
+}
+
+}  // namespace
+
+SM_AVX2 void DotBlockAvx2(const double* const* xs, size_t m,
+                          const double* const* ys, size_t n, size_t length,
+                          double* out) {
+  const size_t n4 = length & ~size_t{3};
+  std::vector<double> acc(4 * m * n, 0.0);
+  for (size_t begin = 0; begin < n4; begin += kDotChunk) {
+    const size_t end = std::min(begin + kDotChunk, n4);
+    size_t b = 0;
+    for (; b + 4 <= n; b += 4) {
+      DotPanelAvx2<4>(xs, m, ys + b, begin, end, acc.data() + 4 * b, n);
+    }
+    for (; b < n; ++b) {
+      DotPanelAvx2<1>(xs, m, ys + b, begin, end, acc.data() + 4 * b, n);
+    }
+  }
+  // DotAvx2's epilogue per pair: the tail into lane 0, then ReduceLanes.
+  for (size_t a = 0; a < m; ++a) {
+    for (size_t b = 0; b < n; ++b) {
+      double* lanes = acc.data() + 4 * (a * n + b);
+      for (size_t i = n4; i < length; ++i) lanes[0] += xs[a][i] * ys[b][i];
+      out[a * n + b] = internal::ReduceLanes(lanes);
+    }
+  }
 }
 
 SM_AVX2 void MinMaxAvx2(const double* values, size_t n, double* min,

@@ -24,8 +24,7 @@ double CosineSimilarity(std::span<const double> x,
 
 double CosineSimilarityPrenormed(std::span<const double> x, double norm_x,
                                  std::span<const double> y, double norm_y) {
-  if (norm_x == 0.0 || norm_y == 0.0) return 0.0;
-  return Dot(x, y) / (norm_x * norm_y);
+  return CosineFromDot(Dot(x, y), norm_x, norm_y);
 }
 
 double SquaredEuclidean(std::span<const double> x,

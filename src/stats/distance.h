@@ -22,6 +22,15 @@ double CosineSimilarity(std::span<const double> x, std::span<const double> y);
 double CosineSimilarityPrenormed(std::span<const double> x, double norm_x,
                                  std::span<const double> y, double norm_y);
 
+/// The cosine of two series from their dot product and norms:
+/// dot / (norm_x * norm_y), or 0 when either norm is zero. The one
+/// formula behind CosineSimilarityPrenormed and the blocked similarity
+/// kernel, which computes the dot products in tiles first.
+inline double CosineFromDot(double dot, double norm_x, double norm_y) {
+  if (norm_x == 0.0 || norm_y == 0.0) return 0.0;
+  return dot / (norm_x * norm_y);
+}
+
 /// Squared Euclidean distance (used by k-means).
 double SquaredEuclidean(std::span<const double> x, std::span<const double> y);
 

@@ -3,6 +3,9 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +17,7 @@
 #include "core/three_line_task.h"
 #include "datagen/temperature_model.h"
 #include "simd/simd.h"
+#include "stats/topk.h"
 #include "timeseries/calendar.h"
 
 namespace smartmeter::core {
@@ -660,6 +664,130 @@ TEST(SimilarityTaskTest, RejectsBadInput) {
   SimilarityOptions options;
   options.k = 0;
   EXPECT_FALSE(ComputeSimilarityTopK(ok_views, options).ok());
+}
+
+// Oracle for the blocked similarity kernel: the per-pair loop it
+// replaced, one Dot and one zero-norm check per (query, candidate) pair in
+// candidate order. perfbench's reference answer calls the kernel under
+// test itself, so this copy is what pins the blocked path bit for bit.
+std::vector<SimilarityResult> ReferenceSimilarityTopKRange(
+    std::span<const SeriesView> series, std::span<const double> norms,
+    size_t query_begin, size_t query_end, const SimilarityOptions& options) {
+  std::vector<SimilarityResult> results;
+  results.reserve(query_end - query_begin);
+  for (size_t q = query_begin; q < query_end; ++q) {
+    stats::TopK<int64_t> top(static_cast<size_t>(options.k));
+    for (size_t o = 0; o < series.size(); ++o) {
+      if (o == q) continue;
+      const double cosine =
+          norms[q] == 0.0 || norms[o] == 0.0
+              ? 0.0
+              : simd::Dot(series[q].values, series[o].values) /
+                    (norms[q] * norms[o]);
+      top.Offer(cosine, series[o].household_id);
+    }
+    SimilarityResult result;
+    result.household_id = series[q].household_id;
+    const auto sorted = top.Sorted();
+    result.matches.reserve(sorted.size());
+    for (const auto& entry : sorted) {
+      result.matches.push_back({entry.id, entry.score});
+    }
+    results.push_back(std::move(result));
+  }
+  return results;
+}
+
+/// Seeded rows plus the inputs that stress the cosine path: an all-zero
+/// row (zero norm), a duplicate of row 0 (tied cosines, broken by id),
+/// and rows carrying NaN, +inf and -inf readings.
+std::vector<std::vector<double>> OracleSeriesSet(size_t n, size_t length,
+                                                 uint64_t seed) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(seed);
+  std::vector<std::vector<double>> rows(n, std::vector<double>(length));
+  for (auto& row : rows) {
+    for (double& v : row) v = rng.Uniform(-1.0, 3.0);
+  }
+  if (n >= 3) std::fill(rows[1].begin(), rows[1].end(), 0.0);
+  if (n >= 4) rows[3] = rows[0];
+  if (n >= 6) rows[5][length / 2] = std::numeric_limits<double>::quiet_NaN();
+  if (n >= 8) {
+    rows[7][0] = kInf;
+    rows[7][length - 1] = -kInf;
+  }
+  if (n >= 9) rows[8][length / 3] = kInf;
+  return rows;
+}
+
+void ExpectSameResults(const std::vector<SimilarityResult>& got,
+                       const std::vector<SimilarityResult>& want,
+                       const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].household_id, want[i].household_id) << where;
+    ASSERT_EQ(got[i].matches.size(), want[i].matches.size()) << where;
+    for (size_t j = 0; j < got[i].matches.size(); ++j) {
+      const double g = got[i].matches[j].cosine;
+      const double w = want[i].matches[j].cosine;
+      EXPECT_EQ(got[i].matches[j].household_id,
+                want[i].matches[j].household_id)
+          << where << " query " << i << " match " << j;
+      EXPECT_TRUE(SameBits(g, w) || (std::isnan(g) && std::isnan(w)))
+          << where << " query " << i << " match " << j << ": " << g
+          << " vs " << w;
+    }
+  }
+}
+
+TEST(SimilarityOracleTest, BlockedKernelMatchesPerPairLoop) {
+  uint64_t seed = 300;
+  for (const size_t n : {2, 3, 5, 8, 9, 17, 64}) {
+    for (const size_t length : {1, 3, 4, 5, 511, 513, 1029, 8760}) {
+      const std::vector<std::vector<double>> rows =
+          OracleSeriesSet(n, length, ++seed);
+      std::vector<SeriesView> views;
+      for (size_t i = 0; i < n; ++i) {
+        views.push_back({static_cast<int64_t>(1000 - 7 * i), rows[i]});
+      }
+      const std::vector<double> norms = ComputeNorms(views);
+      // Every range for small n; for larger n, whole, single-row and
+      // block-straddling ranges.
+      std::vector<std::pair<size_t, size_t>> ranges;
+      if (n <= 9) {
+        for (size_t b = 0; b < n; ++b) {
+          for (size_t e = b + 1; e <= n; ++e) ranges.emplace_back(b, e);
+        }
+      } else {
+        ranges = {{0, n},  {0, 1},      {3, 5},     {5, 16},
+                  {9, 17}, {11, 12},    {n - 1, n}, {n - 3, n}};
+        if (n > 40) ranges.emplace_back(5, 40);
+      }
+      for (const int k : {3, 10}) {
+        SimilarityOptions options;
+        options.k = k;
+        for (const auto& [b, e] : ranges) {
+          std::vector<SimilarityResult> want;
+          {
+            const simd::ScopedLevel scoped(simd::Level::kScalar);
+            want = ReferenceSimilarityTopKRange(views, norms, b, e, options);
+          }
+          for (const simd::Level level :
+               {simd::Level::kScalar, simd::DetectedLevel()}) {
+            const simd::ScopedLevel scoped(level);
+            auto got = ComputeSimilarityTopKRange(views, norms, b, e, options);
+            ASSERT_TRUE(got.ok());
+            ExpectSameResults(
+                *got, want,
+                std::string(simd::LevelName(level)) + " n=" +
+                    std::to_string(n) + " length=" + std::to_string(length) +
+                    " k=" + std::to_string(k) + " range=[" +
+                    std::to_string(b) + "," + std::to_string(e) + ")");
+          }
+        }
+      }
+    }
+  }
 }
 
 // Property sweep: the 3-line model recovers known thermal parameters

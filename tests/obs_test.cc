@@ -464,6 +464,23 @@ TEST(BenchReportTest, BatchRunsOmitIngestBlock) {
   EXPECT_DOUBLE_EQ(restored.runs()[0].freshness_p99_seconds, 0.0);
 }
 
+TEST(BenchReportTest, HouseholdsKeyRoundTripsAndIsOmittedWhenZero) {
+  BenchReport report;
+  RunRecord sized = MakeRecord();
+  sized.households = 5460;
+  report.AddRun(sized);
+  report.AddRun(MakeRecord());
+  JsonValue json = report.ToJson();
+  EXPECT_EQ(json.Get("runs").items()[0].Get("households").AsInt(), 5460);
+  EXPECT_FALSE(json.Get("runs").items()[1].Has("households"));
+  BenchReport restored;
+  std::string error;
+  ASSERT_TRUE(BenchReport::FromJson(json, &restored, &error)) << error;
+  EXPECT_EQ(restored.runs()[0].households, 5460);
+  EXPECT_EQ(restored.runs()[1].households, 0);
+  EXPECT_EQ(restored.ToJsonString(), report.ToJsonString());
+}
+
 TEST(BenchReportTest, FromJsonRejectsWrongSchema) {
   JsonValue json = JsonValue::Object();
   json.Set("schema", JsonValue("not-a-bench-report"));

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "datagen/seed_generator.h"
 #include "engines/systemc_engine.h"
@@ -30,7 +31,10 @@ class ServingTest : public ::testing::Test {
   static constexpr int kHouseholds = 8;
 
   static void SetUpTestSuite() {
-    dir_ = new fs::path(fs::path(::testing::TempDir()) / "serving_test");
+    // One directory per process: concurrent runs (ctest -j, two build
+    // trees) must not share the fixture CSV or its spools.
+    dir_ = new fs::path(fs::path(::testing::TempDir()) /
+                        ("serving_test_" + std::to_string(::getpid())));
     fs::create_directories(*dir_);
     datagen::SeedGeneratorOptions options;
     options.num_households = kHouseholds;

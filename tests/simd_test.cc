@@ -107,6 +107,47 @@ TEST(SimdParityTest, DotMatchesScalarOnMisalignedViews) {
   EXPECT_TRUE(BitEqual(Dot(xs, ys), DotScalar(xs, ys)));
 }
 
+// Every output of DotBlock against the per-pair Dot at the same level and
+// against DotScalar. The shapes reach each micro-tile (4x2, 2x4, 1x4 and
+// the 1-wide candidate remainder); the lengths straddle the 4-lane tail
+// and the 256-element length chunk; rows start off 32-byte boundaries
+// and some carry NaN/inf.
+TEST(SimdParityTest, DotBlockMatchesPerPairDotAtEveryLevel) {
+  constexpr size_t kMaxRows = 9;
+  for (const Level level : {Level::kScalar, DetectedLevel()}) {
+    const ScopedLevel scoped(level);
+    for (const size_t length :
+         {0, 1, 3, 4, 5, 255, 256, 257, 511, 513, 1029, 8760}) {
+      std::vector<std::vector<double>> storage;
+      std::vector<const double*> rows;
+      for (size_t r = 0; r < kMaxRows; ++r) {
+        storage.push_back(
+            RandomSeries(length + 1, 31 * length + r, r % 4 == 3));
+        rows.push_back(storage.back().data() + 1);
+      }
+      for (const size_t m : {1, 2, 3, 4, 5, 7, 8}) {
+        for (const size_t n : {1, 2, 3, 4, 5, 9}) {
+          const std::span<const double* const> xs(rows.data(), m);
+          const std::span<const double* const> ys(rows.data() + kMaxRows - n,
+                                                  n);
+          std::vector<double> out(m * n);
+          DotBlock(xs, ys, length, out);
+          for (size_t a = 0; a < m; ++a) {
+            for (size_t b = 0; b < n; ++b) {
+              const std::span<const double> x(xs[a], length);
+              const std::span<const double> y(ys[b], length);
+              EXPECT_TRUE(ParityEqual(out[a * n + b], Dot(x, y)) &&
+                          ParityEqual(out[a * n + b], DotScalar(x, y)))
+                  << LevelName(level) << " length=" << length << " m=" << m
+                  << " n=" << n << " pair=" << a << "," << b;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(SimdParityTest, MinMaxMatchesScalarBitwise) {
   for (const size_t n : kSizes) {
     for (const bool junk : {false, true}) {
