@@ -77,7 +77,7 @@ class HiveEngine : public AnalyticsEngine {
   std::unique_ptr<cluster::BlockStore> hdfs_;
   // Open handle to an attached SMCOLV1/SMCOLV2 file; its block index is
   // registered with `hdfs_` so columnar splits align with the format's
-  // own compression blocks, and every simulated task decodes through it.
+  // own compression blocks, and every simulated task reads through it.
   std::shared_ptr<table::ColumnFileReader> columnar_reader_;
   int threads_ = 1;
 };

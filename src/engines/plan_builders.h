@@ -25,8 +25,8 @@ exec::ScanOp ResidentBatchScan(const table::ColumnarBatch* batch,
 
 /// Like ResidentBatchScan, but backed by the reader that owns `batch`,
 /// so the executor can push a kernel's row scope down into the scan:
-/// `reader->NewScopedBatch` materializes only the scoped rows, and a
-/// block-indexed reader (SMCOLV2) skips non-matching blocks entirely.
+/// `reader->NewScopedBatch` views only the scoped rows, and a
+/// block-indexed reader (SMCOLV2) reports which blocks the scope covers.
 /// Both `reader` and `batch` must outlive the plan.
 exec::ScanOp ReaderBatchScan(const table::TableReader* reader,
                              const table::ColumnarBatch* batch,
@@ -45,11 +45,11 @@ exec::ScanOp DatasetBatchScan(const MeterDataset* dataset,
 std::vector<cluster::ColumnarBlock> ColumnarFileBlocks(
     const table::ColumnFileReader& reader);
 
-/// Decodes columnar splits into per-partition reading rows (one task
-/// per block). Each task decodes only its split's household range —
-/// through the block index for SMCOLV2 — and emits records with the
-/// real per-hour temperature attached, so downstream assembly matches
-/// the text formats bit for bit. `reader` is shared by every task.
+/// Reads columnar splits into per-partition reading rows (one task per
+/// block). Each task reads only its split's household range through
+/// `NewScopedBatch` and emits records with the real per-hour
+/// temperature attached, so downstream assembly matches the text
+/// formats bit for bit. `reader` is shared by every task.
 exec::ScanOp ColumnarReadingsScan(
     std::shared_ptr<const table::ColumnFileReader> reader,
     std::vector<cluster::ColumnarSplit> splits, std::string source);

@@ -68,8 +68,8 @@ Result<exec::Plan> SystemCEngine::BuildPlan(const TaskOptions& options) const {
   plan.label =
       "system-c/" + std::string(core::TaskName(options.task())) + "/resident";
   // Reader-backed scan: same resident batch for whole-table plans, but
-  // scoped requests go back through the reader so a block-indexed store
-  // decodes only the blocks the scope touches.
+  // scoped requests go back through the reader, which slices its
+  // resident data and reports the scope's block-index coverage.
   plan.stages.push_back(
       {"scan",
        planning::ReaderBatchScan(reader_.get(), &batch_, "columnar-mmap")});

@@ -77,8 +77,8 @@ struct ScanOp {
   std::string source;
   int partitions = 1;
   std::function<Result<BatchScan>()> scan_batch;
-  /// Optional scoped variant of `scan_batch`: materializes only the rows
-  /// and hours of a ScanScope, decoding just the index-matching blocks
+  /// Optional scoped variant of `scan_batch`: views only the rows and
+  /// hours of a ScanScope and reports the scope's block-index coverage
   /// of an SMCOLV2 store. When set, the executor pushes the next
   /// kernel's row scope down into the scan (and clears it from the
   /// kernel) instead of scanning everything and slicing later.

@@ -29,6 +29,17 @@ constexpr size_t kV2EntryBytes = 9 * 8;
 constexpr size_t kV2FooterCounts = 3 * 8;
 constexpr size_t kV2MaxBlockValues = size_t{1} << 20;
 
+// `table.scan.blocks_{decoded,pruned}` count real decode work: a
+// resident scan that slices already-decoded buffers adds nothing.
+void CountDecodeWork(const ScanStats& work) {
+  static obs::Counter* decoded =
+      obs::MetricsRegistry::Global().GetCounter("table.scan.blocks_decoded");
+  static obs::Counter* pruned =
+      obs::MetricsRegistry::Global().GetCounter("table.scan.blocks_pruned");
+  decoded->Add(work.blocks_decoded);
+  pruned->Add(work.blocks_pruned);
+}
+
 size_t FileBytes(size_t households, size_t hours) {
   return kHeaderBytes + households * sizeof(int64_t) +
          households * hours * sizeof(double) + hours * sizeof(double);
@@ -480,6 +491,8 @@ CompressedColumnFile& CompressedColumnFile::operator=(
   num_households_ = other.num_households_;
   hours_ = other.hours_;
   block_values_ = other.block_values_;
+  header_checksum_ = other.header_checksum_;
+  footer_checksum_ = other.footer_checksum_;
   consumption_blocks_ = std::move(other.consumption_blocks_);
   temperature_blocks_ = std::move(other.temperature_blocks_);
   id_blocks_ = std::move(other.id_blocks_);
@@ -488,6 +501,8 @@ CompressedColumnFile& CompressedColumnFile::operator=(
   other.num_households_ = 0;
   other.hours_ = 0;
   other.block_values_ = 0;
+  other.header_checksum_ = 0;
+  other.footer_checksum_ = 0;
   return *this;
 }
 
@@ -500,6 +515,8 @@ void CompressedColumnFile::Close() {
   num_households_ = 0;
   hours_ = 0;
   block_values_ = 0;
+  header_checksum_ = 0;
+  footer_checksum_ = 0;
   consumption_blocks_.clear();
   temperature_blocks_.clear();
   id_blocks_.clear();
@@ -564,6 +581,8 @@ Status CompressedColumnFile::Parse(const std::string& origin) {
   num_households_ = households;
   hours_ = hours;
   block_values_ = block_values;
+  header_checksum_ = GetU64(base + 40);
+  footer_checksum_ = GetU64(footer + footer_body);
   const uint8_t* cursor = footer + kV2FooterCounts;
   const auto parse_entries = [&cursor](std::vector<BlockEntry>* list,
                                        size_t count) {
@@ -727,26 +746,99 @@ Status CompressedColumnFile::DecodeTemperature(
   return DecodeDoubleBlocks(temperature_blocks_, hours_, temperature, nullptr);
 }
 
+Status CompressedColumnFile::VerifyBlocks() const {
+  std::span<const uint8_t> bytes;
+  for (const std::vector<BlockEntry>* column :
+       {&consumption_blocks_, &temperature_blocks_, &id_blocks_}) {
+    for (const BlockEntry& entry : *column) {
+      SM_RETURN_IF_ERROR(CheckBlock(entry, 0, &bytes));
+    }
+  }
+  return Status::OK();
+}
+
+bool CompressedColumnFile::NeedsIdBlock(size_t index,
+                                        const ScanScope& scope) const {
+  const size_t begin = index * block_values_;
+  const size_t end = begin + BlockLength(index, num_households_);
+  return end > scope.RowBegin(num_households_) &&
+         begin < scope.RowEnd(num_households_);
+}
+
+bool CompressedColumnFile::NeedsTemperatureBlock(
+    size_t index, const ScanScope& scope) const {
+  const size_t begin = index * block_values_;
+  const size_t end = begin + BlockLength(index, hours_);
+  return end > scope.HourBegin(hours_) && begin < scope.HourEnd(hours_);
+}
+
+bool CompressedColumnFile::NeedsConsumptionBlock(
+    size_t index, const ScanScope& scope) const {
+  // Row ranges from the index, refined per row against the hour window:
+  // a block is needed only when some scoped row's scoped hours fall
+  // inside its value range.
+  const BlockEntry& entry = consumption_blocks_[index];
+  const size_t r0 = scope.RowBegin(num_households_);
+  const size_t r1 = scope.RowEnd(num_households_);
+  const size_t h0 = scope.HourBegin(hours_);
+  const size_t h1 = scope.HourEnd(hours_);
+  if (entry.row_end <= r0 || entry.row_begin >= r1 || h0 == h1) return false;
+  const size_t v0 = index * block_values_;
+  const size_t v1 = v0 + BlockLength(index, num_households_ * hours_);
+  const size_t row_to = std::min<size_t>(entry.row_end, r1);
+  for (size_t r = std::max<size_t>(entry.row_begin, r0); r < row_to; ++r) {
+    if (std::max(v0, r * hours_ + h0) < std::min(v1, r * hours_ + h1)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+ScanStats CompressedColumnFile::Coverage(const ScanScope& scope) const {
+  ScanStats stats;
+  stats.blocks_total = static_cast<int64_t>(num_blocks());
+  stats.bytes_on_disk = file_bytes();
+  const auto count = [&stats](bool needed, size_t values, size_t width) {
+    if (needed) {
+      ++stats.blocks_decoded;
+      stats.bytes_decoded += static_cast<int64_t>(values * width);
+    } else {
+      ++stats.blocks_pruned;
+    }
+  };
+  for (size_t i = 0; i < id_blocks_.size(); ++i) {
+    count(NeedsIdBlock(i, scope), BlockLength(i, num_households_),
+          sizeof(int64_t));
+  }
+  for (size_t i = 0; i < temperature_blocks_.size(); ++i) {
+    count(NeedsTemperatureBlock(i, scope), BlockLength(i, hours_),
+          sizeof(double));
+  }
+  for (size_t i = 0; i < consumption_blocks_.size(); ++i) {
+    count(NeedsConsumptionBlock(i, scope),
+          BlockLength(i, num_households_ * hours_), sizeof(double));
+  }
+  return stats;
+}
+
 Status CompressedColumnFile::DecodeAll(std::vector<int64_t>* ids,
                                        std::vector<double>* consumption,
                                        std::vector<double>* temperature,
                                        ScanStats* stats) const {
-  if (stats != nullptr) {
-    stats->blocks_total += static_cast<int64_t>(num_blocks());
-    stats->bytes_on_disk += file_bytes();
-  }
+  ScanStats work;
+  work.blocks_total = static_cast<int64_t>(num_blocks());
+  work.bytes_on_disk = file_bytes();
   SM_RETURN_IF_ERROR(DecodeIds(ids));
   SM_RETURN_IF_ERROR(DecodeDoubleBlocks(consumption_blocks_,
                                         num_households_ * hours_, consumption,
-                                        stats));
+                                        &work));
   SM_RETURN_IF_ERROR(
-      DecodeDoubleBlocks(temperature_blocks_, hours_, temperature, stats));
-  if (stats != nullptr) {
-    // Id blocks round out the decoded count; DecodeIds has no stats arm.
-    stats->blocks_decoded += static_cast<int64_t>(id_blocks_.size());
-    stats->bytes_decoded +=
-        static_cast<int64_t>(num_households_ * sizeof(int64_t));
-  }
+      DecodeDoubleBlocks(temperature_blocks_, hours_, temperature, &work));
+  // Id blocks round out the decoded count; DecodeIds has no stats arm.
+  work.blocks_decoded += static_cast<int64_t>(id_blocks_.size());
+  work.bytes_decoded += static_cast<int64_t>(num_households_ * sizeof(int64_t));
+  CountDecodeWork(work);
+  if (stats != nullptr) stats->Add(work);
   return Status::OK();
 }
 
@@ -759,88 +851,48 @@ Status CompressedColumnFile::DecodeScoped(const ScanScope& scope,
   const size_t r1 = scope.RowEnd(num_households_);
   const size_t h0 = scope.HourBegin(hours_);
   const size_t h1 = scope.HourEnd(hours_);
-  const size_t rows = r1 - r0;
   const size_t window = h1 - h0;
-  if (stats != nullptr) {
-    stats->blocks_total += static_cast<int64_t>(num_blocks());
-    stats->bytes_on_disk += file_bytes();
-  }
 
   ids->clear();
-  ids->reserve(rows);
+  ids->reserve(r1 - r0);
   std::vector<int64_t> id_scratch;
-  size_t remaining = num_households_;
-  for (const BlockEntry& entry : id_blocks_) {
-    const size_t count = std::min(remaining, block_values_);
-    const size_t begin = num_households_ - remaining;
-    remaining -= count;
-    if (begin + count <= r0 || begin >= r1) {
-      if (stats != nullptr) ++stats->blocks_pruned;
-      continue;
-    }
+  for (size_t i = 0; i < id_blocks_.size(); ++i) {
+    if (!NeedsIdBlock(i, scope)) continue;
+    const size_t begin = i * block_values_;
+    const size_t count = BlockLength(i, num_households_);
     std::span<const uint8_t> bytes;
-    SM_RETURN_IF_ERROR(CheckBlock(entry, count, &bytes));
+    SM_RETURN_IF_ERROR(CheckBlock(id_blocks_[i], count, &bytes));
     id_scratch.clear();
     SM_RETURN_IF_ERROR(codec::DecodeInts(bytes, count, &id_scratch));
     const size_t from = std::max(begin, r0);
     const size_t to = std::min(begin + count, r1);
     ids->insert(ids->end(), id_scratch.begin() + (from - begin),
                 id_scratch.begin() + (to - begin));
-    if (stats != nullptr) {
-      ++stats->blocks_decoded;
-      stats->bytes_decoded += static_cast<int64_t>(count * sizeof(int64_t));
-    }
   }
 
   temperature->clear();
   temperature->reserve(window);
   std::vector<double> scratch;
-  remaining = hours_;
-  for (const BlockEntry& entry : temperature_blocks_) {
-    const size_t count = std::min(remaining, block_values_);
-    const size_t begin = hours_ - remaining;
-    remaining -= count;
-    if (begin + count <= h0 || begin >= h1) {
-      if (stats != nullptr) ++stats->blocks_pruned;
-      continue;
-    }
+  for (size_t i = 0; i < temperature_blocks_.size(); ++i) {
+    if (!NeedsTemperatureBlock(i, scope)) continue;
+    const size_t begin = i * block_values_;
+    const size_t count = BlockLength(i, hours_);
     std::span<const uint8_t> bytes;
-    SM_RETURN_IF_ERROR(CheckBlock(entry, count, &bytes));
+    SM_RETURN_IF_ERROR(CheckBlock(temperature_blocks_[i], count, &bytes));
     scratch.clear();
     SM_RETURN_IF_ERROR(codec::DecodeDoubles(bytes, count, &scratch));
     const size_t from = std::max(begin, h0);
     const size_t to = std::min(begin + count, h1);
     temperature->insert(temperature->end(), scratch.begin() + (from - begin),
                         scratch.begin() + (to - begin));
-    if (stats != nullptr) {
-      ++stats->blocks_decoded;
-      stats->bytes_decoded += static_cast<int64_t>(count * sizeof(double));
-    }
   }
 
-  consumption->assign(rows * window, 0.0);
-  const size_t total_values = num_households_ * hours_;
+  consumption->assign((r1 - r0) * window, 0.0);
   for (size_t i = 0; i < consumption_blocks_.size(); ++i) {
+    if (!NeedsConsumptionBlock(i, scope)) continue;
     const BlockEntry& entry = consumption_blocks_[i];
     const size_t v0 = i * block_values_;
-    const size_t v1 = std::min(v0 + block_values_, total_values);
-    // Row ranges from the index, refined per row against the hour
-    // window: a block is decoded only when some scoped row's scoped
-    // hours fall inside its value range.
-    bool needed = false;
-    if (entry.row_end > r0 && entry.row_begin < r1 && window > 0) {
-      const size_t row_from = std::max<size_t>(entry.row_begin, r0);
-      const size_t row_to = std::min<size_t>(entry.row_end, r1);
-      for (size_t r = row_from; r < row_to && !needed; ++r) {
-        const size_t seg0 = std::max(v0, r * hours_ + h0);
-        const size_t seg1 = std::min(v1, r * hours_ + h1);
-        needed = seg0 < seg1;
-      }
-    }
-    if (!needed) {
-      if (stats != nullptr) ++stats->blocks_pruned;
-      continue;
-    }
+    const size_t v1 = v0 + BlockLength(i, num_households_ * hours_);
     std::span<const uint8_t> bytes;
     SM_RETURN_IF_ERROR(CheckBlock(entry, v1 - v0, &bytes));
     scratch.clear();
@@ -855,12 +907,10 @@ Status CompressedColumnFile::DecodeScoped(const ScanScope& scope,
       std::copy(scratch.begin() + (seg0 - v0), scratch.begin() + (seg1 - v0),
                 consumption->begin() + dst);
     }
-    if (stats != nullptr) {
-      ++stats->blocks_decoded;
-      stats->bytes_decoded +=
-          static_cast<int64_t>((v1 - v0) * sizeof(double));
-    }
   }
+  const ScanStats work = Coverage(scope);
+  CountDecodeWork(work);
+  if (stats != nullptr) stats->Add(work);
   return Status::OK();
 }
 

@@ -1,6 +1,7 @@
 #ifndef SMARTMETER_STORAGE_COLUMN_STORE_H_
 #define SMARTMETER_STORAGE_COLUMN_STORE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <span>
@@ -197,6 +198,12 @@ class CompressedColumnFile {
   size_t hours() const { return hours_; }
   size_t block_values() const { return block_values_; }
   int64_t file_bytes() const { return static_cast<int64_t>(size_); }
+  /// The validated header and footer checksums. With file_bytes() they
+  /// identify the file's content: the footer carries every block's
+  /// checksum, so two files that agree on all three hold the same bytes
+  /// wherever VerifyBlocks() passes on both.
+  uint64_t header_checksum() const { return header_checksum_; }
+  uint64_t footer_checksum() const { return footer_checksum_; }
   size_t num_consumption_blocks() const { return consumption_blocks_.size(); }
   /// Consumption + temperature + id blocks: the denominator of the
   /// pruning ratio a scoped scan reports.
@@ -205,8 +212,18 @@ class CompressedColumnFile {
            id_blocks_.size();
   }
 
+  /// Checks every block's payload against its footer checksum without
+  /// decoding it: the integrity pass of an open whose decode is skipped.
+  Status VerifyBlocks() const;
+
+  /// What a scan of `scope` covers in the block index: the blocks it
+  /// must decode and their raw bytes, and the blocks it prunes. Computed
+  /// from the index alone; DecodeScoped reports exactly this.
+  ScanStats Coverage(const ScanScope& scope) const;
+
   /// Decodes the whole table. Stats (optional) count every block as
-  /// decoded.
+  /// decoded. DecodeAll and DecodeScoped add the blocks they decode and
+  /// prune to the `table.scan.blocks_{decoded,pruned}` counters.
   Status DecodeAll(std::vector<int64_t>* ids, std::vector<double>* consumption,
                    std::vector<double>* temperature, ScanStats* stats) const;
 
@@ -249,6 +266,15 @@ class CompressedColumnFile {
   };
 
   Status Parse(const std::string& origin);
+  // Values in block `index` of a column holding `total` values.
+  size_t BlockLength(size_t index, size_t total) const {
+    return std::min(block_values_, total - index * block_values_);
+  }
+  // The block-index pruning rule: whether a scan of `scope` needs block
+  // `index` of the id, temperature or consumption column.
+  bool NeedsIdBlock(size_t index, const ScanScope& scope) const;
+  bool NeedsTemperatureBlock(size_t index, const ScanScope& scope) const;
+  bool NeedsConsumptionBlock(size_t index, const ScanScope& scope) const;
   Status CheckBlock(const BlockEntry& entry, size_t expected_values,
                     std::span<const uint8_t>* out) const;
   Status DecodeDoubleBlocks(const std::vector<BlockEntry>& entries,
@@ -260,6 +286,8 @@ class CompressedColumnFile {
   size_t num_households_ = 0;
   size_t hours_ = 0;
   size_t block_values_ = 0;
+  uint64_t header_checksum_ = 0;
+  uint64_t footer_checksum_ = 0;
   std::vector<BlockEntry> consumption_blocks_;
   std::vector<BlockEntry> temperature_blocks_;
   std::vector<BlockEntry> id_blocks_;

@@ -38,10 +38,13 @@ struct ScanScope {
   }
 };
 
-/// What one (possibly pruned) columnar scan touched. Block counts cover
+/// What one (possibly pruned) columnar scan covers. Block counts cover
 /// every indexed block of the file (consumption, temperature, ids);
 /// `bytes_on_disk` is the file's whole on-disk footprint,
-/// `bytes_decoded` the raw doubles/int64s actually materialized. Flows from the format reader
+/// `bytes_decoded` the raw doubles/int64s of the blocks the scope needs.
+/// A scoped scan of a resident image reports its scope's coverage here
+/// without decoding; the `table.scan.blocks_{decoded,pruned}` counters
+/// count the decode work actually done. Flows from the format reader
 /// through `BatchScan` into plan metrics and bench report rows.
 struct ScanStats {
   int64_t blocks_total = 0;

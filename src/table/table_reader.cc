@@ -1,5 +1,8 @@
 #include "table/table_reader.h"
 
+#include <map>
+#include <mutex>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -75,26 +78,60 @@ Result<ColumnarBatch> CsvTableReader::NewBatch() const {
 // ColumnFileReader
 // ---------------------------------------------------------------------------
 
-namespace {
-
-// Heap-owned decode of the blocks a scope touched; a ScopedBatch's
-// `owner` keeps one alive for as long as its span views are used.
-struct DecodedTable {
+// One SMCOLV2 content's decoded columns. `decode_mu` is held by the
+// Open() that decodes; `decoded` flips to true under it once the columns
+// are complete, after which they are never written again.
+struct ColumnFileReader::DecodedImage {
+  std::mutex decode_mu;
+  bool decoded = false;
   std::vector<int64_t> ids;
   std::vector<double> consumption;
   std::vector<double> temperature;
 };
 
-void BumpScanCounters(const storage::ScanStats& stats) {
-  static obs::Counter* decoded =
-      obs::MetricsRegistry::Global().GetCounter("table.scan.blocks_decoded");
-  static obs::Counter* pruned =
-      obs::MetricsRegistry::Global().GetCounter("table.scan.blocks_pruned");
-  decoded->Add(static_cast<int64_t>(stats.blocks_decoded));
-  pruned->Add(static_cast<int64_t>(stats.blocks_pruned));
-}
+Result<std::shared_ptr<const ColumnFileReader::DecodedImage>>
+ColumnFileReader::AttachImage(const storage::CompressedColumnFile& file,
+                              storage::ScanStats* decoded) {
+  // Keyed by content, not path + mtime: the columnar cache re-touches a
+  // file's mtime on every hit, and a path can be rewritten in place.
+  using Key = std::tuple<int64_t, uint64_t, uint64_t>;
+  static std::mutex registry_mu;
+  static std::map<Key, std::weak_ptr<DecodedImage>> registry;
 
-}  // namespace
+  std::shared_ptr<DecodedImage> image;
+  {
+    std::lock_guard<std::mutex> lock(registry_mu);
+    std::erase_if(registry,
+                  [](const auto& entry) { return entry.second.expired(); });
+    std::weak_ptr<DecodedImage>& slot = registry[Key{
+        file.file_bytes(), file.header_checksum(), file.footer_checksum()}];
+    image = slot.lock();
+    if (image == nullptr) {
+      image = std::make_shared<DecodedImage>();
+      slot = image;
+    }
+  }
+  bool shared = false;
+  {
+    // Concurrent first Open()s of one content wait here for one decode.
+    std::lock_guard<std::mutex> lock(image->decode_mu);
+    shared = image->decoded;
+    if (!shared) {
+      SM_RETURN_IF_ERROR(file.DecodeAll(&image->ids, &image->consumption,
+                                        &image->temperature, decoded));
+      image->decoded = true;
+    }
+  }
+  if (shared) {
+    // Only the decode is shared: this mapping's own bytes are checked
+    // (DecodeAll checks them on the decoding path).
+    SM_RETURN_IF_ERROR(file.VerifyBlocks());
+    static obs::Counter* shared_opens =
+        obs::MetricsRegistry::Global().GetCounter("table.image.shared_opens");
+    shared_opens->Increment();
+  }
+  return std::shared_ptr<const DecodedImage>(std::move(image));
+}
 
 ColumnFileReader::ColumnFileReader(std::string path)
     : path_(std::move(path)) {}
@@ -102,19 +139,14 @@ ColumnFileReader::ColumnFileReader(std::string path)
 Status ColumnFileReader::Open() {
   format_version_ = 0;
   open_stats_ = {};
-  decoded_ids_.clear();
-  decoded_consumption_.clear();
-  decoded_temperature_.clear();
+  image_.reset();
   SM_ASSIGN_OR_RETURN(const int version,
                       storage::SniffColumnFileFormat(path_));
   if (version == 1) {
     SM_RETURN_IF_ERROR(store_.OpenMapped(path_));
   } else {
     SM_RETURN_IF_ERROR(compressed_.Open(path_));
-    SM_RETURN_IF_ERROR(compressed_.DecodeAll(&decoded_ids_,
-                                             &decoded_consumption_,
-                                             &decoded_temperature_,
-                                             &open_stats_));
+    SM_ASSIGN_OR_RETURN(image_, AttachImage(compressed_, &open_stats_));
   }
   format_version_ = version;
   return Status::OK();
@@ -127,9 +159,9 @@ Result<ColumnarBatch> ColumnFileReader::NewBatch() const {
                                          store_.temperature(), store_.hours());
   }
   if (format_version_ == 2) {
-    return ColumnarBatch::FromContiguous(
-        decoded_ids_, decoded_consumption_, decoded_temperature_,
-        compressed_.hours());
+    return ColumnarBatch::FromContiguous(image_->ids, image_->consumption,
+                                         image_->temperature,
+                                         compressed_.hours());
   }
   return Status::Internal("column file not open");
 }
@@ -140,31 +172,36 @@ Result<ScopedBatch> ColumnFileReader::NewScopedBatch(
     // SMCOLV1 has no block index; slice the mapped column by rows.
     return TableReader::NewScopedBatch(scope);
   }
-  if (scope.whole()) {
-    // The whole-file decode already happened at Open(); report its cost
-    // (every block decoded, nothing pruned) without decoding again.
-    ScopedBatch scoped;
-    SM_ASSIGN_OR_RETURN(scoped.batch, NewBatch());
-    scoped.stats = open_stats_;
-    BumpScanCounters(scoped.stats);
-    return scoped;
-  }
-  auto decoded = std::make_shared<DecodedTable>();
-  storage::ScanStats stats;
-  SM_RETURN_IF_ERROR(compressed_.DecodeScoped(scope, &decoded->ids,
-                                              &decoded->consumption,
-                                              &decoded->temperature, &stats));
-  const size_t hours = compressed_.hours();
-  const size_t window =
-      scope.HourEnd(hours) - scope.HourBegin(hours);
+  SM_ASSIGN_OR_RETURN(ColumnarBatch full, NewBatch());
+  const size_t r0 = scope.RowBegin(full.count());
+  const size_t r1 = scope.RowEnd(full.count());
+  const size_t h0 = scope.HourBegin(full.hours());
+  const size_t window = scope.HourEnd(full.hours()) - h0;
   ScopedBatch scoped;
-  SM_ASSIGN_OR_RETURN(
-      scoped.batch,
-      ColumnarBatch::FromContiguous(decoded->ids, decoded->consumption,
-                                    decoded->temperature, window));
-  scoped.owner = std::move(decoded);
-  scoped.stats = stats;
-  BumpScanCounters(scoped.stats);
+  if (window == full.hours()) {
+    SM_ASSIGN_OR_RETURN(scoped.batch, full.Slice(r0, r1 - r0));
+  } else {
+    // An hour window is strided in the household-major column: one
+    // subspan per scoped row.
+    const SeriesSlice temperature = full.temperature().subspan(h0, window);
+    std::vector<int64_t> ids(full.household_ids().begin() + r0,
+                             full.household_ids().begin() + r1);
+    std::vector<SeriesSlice> series;
+    series.reserve(r1 - r0);
+    for (size_t r = r0; r < r1; ++r) {
+      series.push_back(full.consumption(r).subspan(h0, window));
+    }
+    // FromSlices takes its width from the first series, so a scope with
+    // no rows keeps the window's width through an empty contiguous view.
+    SM_ASSIGN_OR_RETURN(
+        scoped.batch,
+        series.empty()
+            ? ColumnarBatch::FromContiguous({}, {}, temperature, window)
+            : ColumnarBatch::FromSlices(std::move(ids), std::move(series),
+                                        temperature));
+  }
+  scoped.owner = image_;
+  scoped.stats = compressed_.Coverage(scope);
   return scoped;
 }
 

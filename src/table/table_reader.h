@@ -19,10 +19,12 @@
 namespace smartmeter::table {
 
 /// A batch restricted to a ScanScope, plus whatever keeps its memory
-/// alive and what the restriction cost. `owner` is null when the batch
-/// borrows the reader's own storage (the common slice-of-resident case)
-/// and holds freshly decoded buffers when the reader pruned blocks into
-/// a private decode (the SMCOLV2 path).
+/// alive and what the restriction covers. The batch is always a view of
+/// resident data; no scoped scan decodes. `owner` is null when the batch
+/// borrows the reader's own storage (SMCOLV1, text and row paths) and
+/// holds the shared decoded image of an SMCOLV2 file, so the batch stays
+/// valid even after the reader is gone. `stats` is the scope's coverage
+/// of the block index (zero for formats without one).
 struct ScopedBatch {
   ColumnarBatch batch;
   std::shared_ptr<const void> owner;
@@ -55,7 +57,7 @@ class TableReader {
   /// A batch restricted to `scope`. The base implementation slices the
   /// full batch by rows (hour windows are rejected — only an indexed
   /// format can restrict them); block-indexed readers override it to
-  /// decode only the matching blocks and report prune counts.
+  /// serve hour windows too and report the scope's block coverage.
   virtual Result<ScopedBatch> NewScopedBatch(
       const storage::ScanScope& scope) const;
 
@@ -86,11 +88,18 @@ class CsvTableReader : public TableReader {
 
 /// Binary column-file path (System C's native store and the columnar
 /// cache's file format). Open() sniffs the generation: SMCOLV1 is pure
-/// mmap + pointer arithmetic; SMCOLV2 mmaps the compressed file and
-/// decodes its blocks into resident buffers once, after which batches
-/// are the same zero-copy spans. Scoped batches over SMCOLV2 decode only
-/// the blocks the scope touches (block-index pruning) and surface the
-/// prune counts through `table.scan.blocks_{pruned,decoded}`.
+/// mmap + pointer arithmetic (the OS shares the pages between readers).
+/// SMCOLV2 mmaps the compressed file, validates it, and attaches the one
+/// decoded image of its content that every reader in the process shares:
+/// the first Open() of the content decodes it, and later Open()s, while
+/// any reader or batch still holds that image, only check their own
+/// mapping's block checksums (counted by `table.image.shared_opens`).
+/// The image is keyed by content (size, header and footer checksums), so
+/// a rewritten file never picks up a stale image.
+///
+/// Batches and scoped batches are zero-copy views of the image; a scoped
+/// batch slices it and reports the scope's block-index coverage in its
+/// stats without decoding.
 class ColumnFileReader : public TableReader {
  public:
   explicit ColumnFileReader(std::string path);
@@ -103,8 +112,9 @@ class ColumnFileReader : public TableReader {
 
   /// 1 (SMCOLV1) or 2 (SMCOLV2) once open.
   int format_version() const { return format_version_; }
-  /// What Open() decoded: zero for SMCOLV1 (nothing to decode), the
-  /// whole-file block/byte counts for SMCOLV2.
+  /// What this Open() decoded: the whole-file block/byte counts for the
+  /// Open() that decoded an SMCOLV2 image, zero when it shared a live
+  /// image or the file is SMCOLV1 (nothing to decode).
   const storage::ScanStats& open_stats() const { return open_stats_; }
 
   const storage::ColumnStore& store() const { return store_; }
@@ -115,16 +125,20 @@ class ColumnFileReader : public TableReader {
   }
 
  private:
+  struct DecodedImage;
+
+  // The live image of `file`'s content, decoding it (and reporting the
+  // work in `decoded`) only when no reader holds one.
+  static Result<std::shared_ptr<const DecodedImage>> AttachImage(
+      const storage::CompressedColumnFile& file, storage::ScanStats* decoded);
+
   std::string path_;
   int format_version_ = 0;
   storage::ColumnStore store_;
   storage::CompressedColumnFile compressed_;
   storage::ScanStats open_stats_;
-  // Resident decode of an SMCOLV2 file (owned by the reader; batches
-  // borrow it just like the SMCOLV1 mapping).
-  std::vector<int64_t> decoded_ids_;
-  std::vector<double> decoded_consumption_;
-  std::vector<double> decoded_temperature_;
+  // The SMCOLV2 file's shared decoded columns; null for SMCOLV1.
+  std::shared_ptr<const DecodedImage> image_;
 };
 
 /// Heap-file + B+-tree path (MADLib's row table): Open() runs the

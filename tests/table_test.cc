@@ -1,7 +1,9 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -413,6 +415,258 @@ TEST_F(TableTest, ScopedHourWindowDecodesWindowOnly) {
     EXPECT_EQ(scoped->batch.temperature()[h],
               full->temperature()[scope.hour_begin + h]);
   }
+}
+
+TEST_F(TableTest, ResidentScopedBatchMatchesDecodeScoped) {
+  // 9 households x 30 hours in 16-value blocks: consumption blocks
+  // straddle household boundaries and every column spans several blocks.
+  const MeterDataset dataset = SmallDataset(9, 30, 41);
+  const std::string path = (dir_ / "oracle.smcol").string();
+  ASSERT_TRUE(
+      storage::ColumnFileWriter::WriteFile(dataset, path, /*block_values=*/16)
+          .ok());
+  table::ColumnFileReader reader(path);
+  ASSERT_TRUE(reader.Open().ok());
+  const storage::CompressedColumnFile& file = *reader.compressed();
+
+  const auto make_scope = [](size_t row_begin, size_t row_count,
+                             size_t hour_begin, size_t hour_count) {
+    storage::ScanScope scope;
+    scope.row_begin = row_begin;
+    scope.row_count = row_count;
+    scope.hour_begin = hour_begin;
+    scope.hour_count = hour_count;
+    return scope;
+  };
+  std::vector<storage::ScanScope> scopes = {
+      make_scope(0, 0, 0, 0),     // whole table
+      make_scope(20, 3, 0, 0),    // rows past the end: empty
+      make_scope(20, 3, 4, 6),    // empty rows, hour window
+      make_scope(7, 50, 0, 0),    // row count clamped
+      make_scope(4, 1, 0, 0),     // single row
+      make_scope(1, 2, 0, 0),     // rows straddling a block boundary
+      make_scope(0, 0, 10, 11),   // hour window straddling blocks
+      make_scope(3, 1, 28, 9),    // single row, clamped window
+      make_scope(2, 4, 40, 2),    // window past the end: zero hours
+      make_scope(5, 0, 15, 1),    // single hour, rows through the end
+  };
+  std::mt19937_64 rng(2015);
+  for (int i = 0; i < 200; ++i) {
+    scopes.push_back(make_scope(rng() % 12, rng() % 12, rng() % 34,
+                                rng() % 34));
+  }
+
+  for (const storage::ScanScope& scope : scopes) {
+    SCOPED_TRACE(testing::Message()
+                 << "rows " << scope.row_begin << "+" << scope.row_count
+                 << " hours " << scope.hour_begin << "+" << scope.hour_count);
+    std::vector<int64_t> ids;
+    std::vector<double> consumption;
+    std::vector<double> temperature;
+    storage::ScanStats want_stats;
+    ASSERT_TRUE(file.DecodeScoped(scope, &ids, &consumption, &temperature,
+                                  &want_stats)
+                    .ok());
+    const size_t window =
+        scope.HourEnd(file.hours()) - scope.HourBegin(file.hours());
+
+    auto got = reader.NewScopedBatch(scope);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_NE(got->owner, nullptr);
+    // Compared against the dense decoded rectangle directly: a batch view
+    // of it would lose the rows of a zero-hour window.
+    const table::ColumnarBatch& batch = got->batch;
+    ASSERT_EQ(batch.count(), ids.size());
+    ASSERT_EQ(batch.hours(), window);
+    for (size_t i = 0; i < ids.size(); ++i) {
+      ASSERT_EQ(batch.household_id(i), ids[i]);
+      const table::SeriesSlice series = batch.consumption(i);
+      ASSERT_EQ(series.size(), window);
+      for (size_t h = 0; h < window; ++h) {
+        ASSERT_EQ(series[h], consumption[i * window + h])
+            << "row " << i << " hour " << h;
+      }
+    }
+    ASSERT_EQ(batch.temperature().size(), temperature.size());
+    for (size_t h = 0; h < temperature.size(); ++h) {
+      ASSERT_EQ(batch.temperature()[h], temperature[h]) << "hour " << h;
+    }
+    EXPECT_EQ(got->stats.blocks_total, want_stats.blocks_total);
+    EXPECT_EQ(got->stats.blocks_decoded, want_stats.blocks_decoded);
+    EXPECT_EQ(got->stats.blocks_pruned, want_stats.blocks_pruned);
+    EXPECT_EQ(got->stats.bytes_on_disk, want_stats.bytes_on_disk);
+    EXPECT_EQ(got->stats.bytes_decoded, want_stats.bytes_decoded);
+  }
+}
+
+TEST_F(TableTest, ReadersOfOneFileShareOneImage) {
+  const MeterDataset dataset = SmallDataset(5, 48, 43);
+  const std::string path = (dir_ / "shared.smcol").string();
+  ASSERT_TRUE(
+      storage::ColumnFileWriter::WriteFile(dataset, path, /*block_values=*/16)
+          .ok());
+  const int64_t decoded0 = CounterValue("table.scan.blocks_decoded");
+  const int64_t shared0 = CounterValue("table.image.shared_opens");
+
+  auto first = std::make_unique<table::ColumnFileReader>(path);
+  auto second = std::make_unique<table::ColumnFileReader>(path);
+  ASSERT_TRUE(first->Open().ok());
+  ASSERT_TRUE(second->Open().ok());
+  const int64_t file_blocks = first->open_stats().blocks_decoded;
+  EXPECT_GT(file_blocks, 0);
+  EXPECT_EQ(second->open_stats().blocks_decoded, 0);
+  EXPECT_EQ(second->open_stats().bytes_decoded, 0);
+  EXPECT_EQ(CounterValue("table.image.shared_opens") - shared0, 1);
+
+  auto a = first->NewBatch();
+  auto b = second->NewBatch();
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(a->consumption_column().data(), b->consumption_column().data());
+  EXPECT_EQ(a->household_ids().data(), b->household_ids().data());
+
+  table::ColumnFileReader third(path);
+  {
+    // Scans of the resident image decode nothing, so the decode counter
+    // holds at the one decode of the first Open().
+    storage::ScanScope scope;
+    scope.row_begin = 1;
+    scope.row_count = 2;
+    auto scoped = second->NewScopedBatch(scope);
+    ASSERT_TRUE(scoped.ok());
+    EXPECT_EQ(scoped->batch.consumption_column().data(),
+              a->consumption_column().data() + 1 * 48);
+    EXPECT_TRUE(second->NewScopedBatch(storage::ScanScope{}).ok());
+    EXPECT_EQ(CounterValue("table.scan.blocks_decoded") - decoded0,
+              file_blocks);
+
+    // The scoped batch's owner keeps the image alive past both readers,
+    // so a re-open still shares it.
+    a = table::ColumnarBatch();
+    b = table::ColumnarBatch();
+    first.reset();
+    second.reset();
+    ASSERT_TRUE(third.Open().ok());
+    EXPECT_EQ(third.open_stats().blocks_decoded, 0);
+    auto again = third.NewScopedBatch(scope);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(again->batch.consumption_column().data(),
+              scoped->batch.consumption_column().data());
+  }
+
+  // Once the last holder is gone, the next Open() decodes again.
+  ASSERT_TRUE(third.Open().ok());
+  EXPECT_EQ(third.open_stats().blocks_decoded, file_blocks);
+  EXPECT_EQ(CounterValue("table.scan.blocks_decoded") - decoded0,
+            2 * file_blocks);
+}
+
+TEST_F(TableTest, SamePathRewrittenAtSameSizeIsNotShared) {
+  // One household per block: swapping two households' series reorders
+  // the consumption blocks, so the file keeps its size and header while
+  // its content (and footer) change.
+  const size_t hours = 24;
+  const MeterDataset before = SmallDataset(4, hours, 47);
+  MeterDataset after;
+  after.SetTemperature(before.temperature());
+  for (size_t i = 0; i < before.num_consumers(); ++i) {
+    const size_t from = i < 2 ? 1 - i : i;
+    after.AddConsumer({before.consumer(i).household_id,
+                       before.consumer(from).consumption});
+  }
+  const std::string path = (dir_ / "rewritten.smcol").string();
+  const std::string next = (dir_ / "rewritten.tmp").string();
+  ASSERT_TRUE(
+      storage::ColumnFileWriter::WriteFile(before, path, hours).ok());
+  ASSERT_TRUE(
+      storage::ColumnFileWriter::WriteFile(after, next, hours).ok());
+  ASSERT_EQ(fs::file_size(path), fs::file_size(next));
+
+  table::ColumnFileReader old_reader(path);
+  ASSERT_TRUE(old_reader.Open().ok());
+  fs::rename(next, path);
+  table::ColumnFileReader new_reader(path);
+  ASSERT_TRUE(new_reader.Open().ok());
+  EXPECT_GT(new_reader.open_stats().blocks_decoded, 0);
+
+  auto old_batch = old_reader.NewBatch();
+  auto new_batch = new_reader.NewBatch();
+  auto want_old = table::ColumnarBatch::FromDataset(before);
+  auto want_new = table::ColumnarBatch::FromDataset(after);
+  ASSERT_TRUE(old_batch.ok() && new_batch.ok());
+  ASSERT_TRUE(want_old.ok() && want_new.ok());
+  ExpectBatchesBitExact(*old_batch, *want_old, "before-rewrite");
+  ExpectBatchesBitExact(*new_batch, *want_new, "after-rewrite");
+}
+
+TEST_F(TableTest, CorruptCopyFailsWhileIntactImageIsLive) {
+  const MeterDataset dataset = SmallDataset(4, 48, 53);
+  const std::string path = (dir_ / "intact.smcol").string();
+  const std::string copy = (dir_ / "flipped.smcol").string();
+  ASSERT_TRUE(
+      storage::ColumnFileWriter::WriteFile(dataset, path, /*block_values=*/16)
+          .ok());
+  table::ColumnFileReader intact(path);
+  ASSERT_TRUE(intact.Open().ok());
+
+  // Flip one byte of the first block's payload (the 48-byte header ends
+  // where the data section begins); header and footer stay valid, so the
+  // copy has the intact file's content key.
+  fs::copy_file(path, copy);
+  {
+    std::fstream f(copy, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    f.seekg(60);
+    char byte = 0;
+    f.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x40);
+    f.seekp(60);
+    f.write(&byte, 1);
+  }
+  const int64_t shared0 = CounterValue("table.image.shared_opens");
+  table::ColumnFileReader corrupt(copy);
+  EXPECT_EQ(corrupt.Open().code(), StatusCode::kCorruption);
+  EXPECT_EQ(CounterValue("table.image.shared_opens"), shared0);
+
+  auto batch = intact.NewBatch();
+  auto want = table::ColumnarBatch::FromDataset(dataset);
+  ASSERT_TRUE(batch.ok() && want.ok());
+  ExpectBatchesBitExact(*batch, *want, "intact-after-corrupt-open");
+}
+
+TEST_F(TableTest, ConcurrentOpensShareOneImage) {
+  const MeterDataset dataset = SmallDataset(6, 96, 59);
+  const std::string path = (dir_ / "concurrent.smcol").string();
+  ASSERT_TRUE(
+      storage::ColumnFileWriter::WriteFile(dataset, path, /*block_values=*/16)
+          .ok());
+  constexpr int kThreads = 4;
+  std::vector<std::unique_ptr<table::ColumnFileReader>> readers;
+  for (int i = 0; i < kThreads; ++i) {
+    readers.push_back(std::make_unique<table::ColumnFileReader>(path));
+  }
+  std::vector<Status> opened(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&readers, &opened, i] {
+      opened[static_cast<size_t>(i)] =
+          readers[static_cast<size_t>(i)]->Open();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  int decoders = 0;
+  const double* column = nullptr;
+  for (int i = 0; i < kThreads; ++i) {
+    ASSERT_TRUE(opened[static_cast<size_t>(i)].ok());
+    const table::ColumnFileReader& reader = *readers[static_cast<size_t>(i)];
+    if (reader.open_stats().blocks_decoded > 0) ++decoders;
+    auto batch = reader.NewBatch();
+    ASSERT_TRUE(batch.ok());
+    if (column == nullptr) column = batch->consumption_column().data();
+    EXPECT_EQ(batch->consumption_column().data(), column);
+  }
+  EXPECT_EQ(decoders, 1);
 }
 
 TEST_F(TableTest, CacheEvictsLruUnderByteBudget) {
