@@ -252,9 +252,4 @@ Result<WaveResult> TaskWaveRunner::RunWave(std::vector<TaskFn>* tasks,
   return result;
 }
 
-Result<double> TaskWaveRunner::Run(std::vector<TaskFn>* tasks) {
-  SM_ASSIGN_OR_RETURN(WaveResult result, RunWave(tasks, WaveOptions{}));
-  return result.makespan_seconds;
-}
-
 }  // namespace smartmeter::cluster

@@ -93,10 +93,6 @@ class TaskWaveRunner {
   Result<WaveResult> RunWave(std::vector<TaskFn>* tasks,
                              const WaveOptions& options);
 
-  /// Fault-blind wrapper kept for the mapreduce/dataflow shims: makespan
-  /// only, default wave options.
-  Result<double> Run(std::vector<TaskFn>* tasks);
-
   /// Simulated duration of a single task under this runner's flat model
   /// (no topology, no faults).
   double SimulatedSeconds(const TaskStats& stats) const;

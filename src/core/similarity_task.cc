@@ -1,11 +1,9 @@
 #include "core/similarity_task.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "simd/simd.h"
 #include "stats/distance.h"
-#include "stats/sax.h"
 #include "stats/topk.h"
 
 namespace smartmeter::core {
@@ -87,75 +85,6 @@ Result<std::vector<SimilarityResult>> ComputeSimilarityTopK(
   const std::vector<double> norms = ComputeNorms(series);
   return ComputeSimilarityTopKRange(series, norms, 0, series.size(), options,
                                     ctx);
-}
-
-Result<std::vector<SimilarityResult>> ComputeSimilarityTopKApprox(
-    std::span<const SeriesView> series,
-    const ApproxSimilarityOptions& options,
-    const exec::QueryContext* ctx) {
-  const size_t n = series.size();
-  if (n < 2) {
-    return Status::InvalidArgument("similarity: need at least two series");
-  }
-  if (options.base.k < 1 || options.candidate_factor < 1) {
-    return Status::InvalidArgument("similarity: bad k or candidate factor");
-  }
-  const size_t length = series[0].values.size();
-  for (const SeriesView& s : series) {
-    if (s.values.size() != length) {
-      return Status::InvalidArgument("similarity: series length mismatch");
-    }
-  }
-
-  // Precompute SAX words and exact norms once.
-  std::vector<stats::SaxWord> words;
-  words.reserve(n);
-  for (const SeriesView& s : series) {
-    SM_ASSIGN_OR_RETURN(
-        stats::SaxWord word,
-        stats::ComputeSaxWord(s.values, options.sax_segments,
-                              options.sax_alphabet));
-    words.push_back(std::move(word));
-  }
-  const std::vector<double> norms = ComputeNorms(series);
-
-  const size_t candidates = std::min(
-      n - 1, static_cast<size_t>(options.base.k) *
-                 static_cast<size_t>(options.candidate_factor));
-  std::vector<SimilarityResult> results;
-  results.reserve(n);
-  std::vector<std::pair<double, size_t>> ranked(n - 1);
-  for (size_t q = 0; q < n; ++q) {
-    if (ctx != nullptr && ctx->ShouldStop()) return ctx->CheckNotStopped();
-    // Filter: rank all others by the cheap SAX lower bound.
-    size_t slot = 0;
-    for (size_t o = 0; o < n; ++o) {
-      if (o == q) continue;
-      SM_ASSIGN_OR_RETURN(double mindist,
-                          stats::SaxMinDist(words[q], words[o], length));
-      ranked[slot++] = {mindist, o};
-    }
-    std::nth_element(ranked.begin(),
-                     ranked.begin() + static_cast<ptrdiff_t>(candidates - 1),
-                     ranked.end());
-    // Refine: exact cosine on the shortlisted candidates only.
-    stats::TopK<int64_t> top(static_cast<size_t>(options.base.k));
-    for (size_t c = 0; c < candidates; ++c) {
-      const size_t o = ranked[c].second;
-      const double cosine = stats::CosineSimilarityPrenormed(
-          series[q].values, norms[q], series[o].values, norms[o]);
-      top.Offer(cosine, series[o].household_id);
-    }
-    SimilarityResult result;
-    result.household_id = series[q].household_id;
-    const auto sorted = top.Sorted();
-    result.matches.reserve(sorted.size());
-    for (const auto& entry : sorted) {
-      result.matches.push_back({entry.id, entry.score});
-    }
-    results.push_back(std::move(result));
-  }
-  return results;
 }
 
 std::vector<SeriesView> BuildSeriesViews(const table::ColumnarBatch& batch,

@@ -54,31 +54,6 @@ std::vector<double> ComputeNorms(std::span<const SeriesView> series);
 std::vector<SeriesView> BuildSeriesViews(const table::ColumnarBatch& batch,
                                          size_t limit = 0);
 
-/// Options for SAX-accelerated approximate similarity search (an
-/// extension following the paper's reference [27]: symbolic
-/// representation of smart meter series).
-struct ApproxSimilarityOptions {
-  SimilarityOptions base;
-  /// PAA/SAX word length; more segments = tighter filter, slower.
-  int sax_segments = 32;
-  /// SAX alphabet size (2..16).
-  int sax_alphabet = 8;
-  /// Exact cosine is evaluated on the `candidate_factor * k` candidates
-  /// with the smallest SAX lower-bound distance.
-  int candidate_factor = 8;
-};
-
-/// Approximate top-k similarity search: ranks candidate pairs by the SAX
-/// MINDIST lower bound over z-normalized series (O(word) per pair rather
-/// than O(length)), then evaluates exact cosine similarity only on the
-/// best candidates, one per-pair Dot each. Trades recall for fewer exact
-/// dot products; `bench_ablation_sax` quantifies the trade against the
-/// blocked exact kernel. Result layout matches ComputeSimilarityTopK.
-Result<std::vector<SimilarityResult>> ComputeSimilarityTopKApprox(
-    std::span<const SeriesView> series,
-    const ApproxSimilarityOptions& options = {},
-    const exec::QueryContext* ctx = nullptr);
-
 }  // namespace smartmeter::core
 
 #endif  // SMARTMETER_CORE_SIMILARITY_TASK_H_

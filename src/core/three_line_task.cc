@@ -16,6 +16,7 @@ namespace smartmeter::core {
 namespace {
 
 using internal::BandPoint;
+using internal::FitThreeSegments;
 
 /// Prefix sums over sorted band points permitting O(1) least-squares fits
 /// of any contiguous range; this keeps the optimal-breakpoint search at
@@ -88,40 +89,6 @@ void MakeContinuous(PiecewiseLines* lines) {
 
 }  // namespace
 
-Result<ThreeLineResult> ComputeThreeLine(std::span<const double> consumption,
-                                         std::span<const double> temperature,
-                                         int64_t household_id,
-                                         const ThreeLineOptions& options,
-                                         ThreeLinePhases* phases,
-                                         const exec::QueryContext* ctx) {
-  if (ctx != nullptr && ctx->ShouldStop()) return ctx->CheckNotStopped();
-  if (consumption.size() != temperature.size()) {
-    return Status::InvalidArgument("3-line: series length mismatch");
-  }
-  if (consumption.empty()) {
-    return Status::InvalidArgument("3-line: empty series");
-  }
-  if (options.temperature_bin_width <= 0.0) {
-    return Status::InvalidArgument("3-line: bin width must be positive");
-  }
-
-  // ---- Binning: every reading's temperature bin, one vectorized pass --
-  Stopwatch bin_clock;
-  // Non-finite or out-of-range temperatures saturate to the INT32_MIN
-  // sentinel bin (the old per-reading float->int64 cast was undefined
-  // for them); the sentinel bin never defines thresholds, so junk
-  // readings fall out of the band selection below.
-  std::vector<int32_t> bin_idx(consumption.size());
-  simd::BinIndicesInt32(temperature, options.temperature_bin_width, bin_idx);
-  std::map<int32_t, std::vector<double>> bins;
-  for (size_t i = 0; i < consumption.size(); ++i) {
-    bins[bin_idx[i]].push_back(consumption[i]);
-  }
-  return internal::ComputeThreeLineBinned(
-      consumption, temperature, bin_idx, std::move(bins),
-      bin_clock.ElapsedSeconds(), household_id, options, phases, ctx);
-}
-
 namespace internal {
 
 ThreeSegmentFit FitThreeSegments(std::span<const BandPoint> points,
@@ -187,14 +154,40 @@ ThreeSegmentFit FitThreeSegments(std::span<const BandPoint> points,
   return out;
 }
 
-Result<ThreeLineResult> ComputeThreeLineBinned(
-    std::span<const double> consumption, std::span<const double> temperature,
-    std::span<const int32_t> bin_idx,
-    std::map<int32_t, std::vector<double>> bins, double bin_seconds,
-    int64_t household_id, const ThreeLineOptions& options,
-    ThreeLinePhases* phases, const exec::QueryContext* ctx) {
-  // ---- T1: 10th/90th consumption percentile per temperature bin --------
+}  // namespace internal
+
+Result<ThreeLineResult> ComputeThreeLine(std::span<const double> consumption,
+                                         std::span<const double> temperature,
+                                         int64_t household_id,
+                                         const ThreeLineOptions& options,
+                                         ThreeLinePhases* phases,
+                                         const exec::QueryContext* ctx) {
+  if (ctx != nullptr && ctx->ShouldStop()) return ctx->CheckNotStopped();
+  if (consumption.size() != temperature.size()) {
+    return Status::InvalidArgument("3-line: series length mismatch");
+  }
+  if (consumption.empty()) {
+    return Status::InvalidArgument("3-line: empty series");
+  }
+  if (options.temperature_bin_width <= 0.0) {
+    return Status::InvalidArgument("3-line: bin width must be positive");
+  }
+
+  // ---- Binning: every reading's temperature bin, one vectorized pass --
+  // Binning time is part of the T1 phase.
   Stopwatch t1_clock;
+  // Non-finite or out-of-range temperatures saturate to the INT32_MIN
+  // sentinel bin (the old per-reading float->int64 cast was undefined
+  // for them); the sentinel bin never defines thresholds, so junk
+  // readings fall out of the band selection below.
+  std::vector<int32_t> bin_idx(consumption.size());
+  simd::BinIndicesInt32(temperature, options.temperature_bin_width, bin_idx);
+  std::map<int32_t, std::vector<double>> bins;
+  for (size_t i = 0; i < consumption.size(); ++i) {
+    bins[bin_idx[i]].push_back(consumption[i]);
+  }
+
+  // ---- T1: 10th/90th consumption percentile per temperature bin --------
   constexpr int32_t kJunkBin = std::numeric_limits<int32_t>::min();
   // Per retained bin: the p10/p90 thresholds that define the two bands.
   std::map<int32_t, std::pair<double, double>> thresholds;
@@ -214,7 +207,7 @@ Result<ThreeLineResult> ComputeThreeLineBinned(
         "3-line: household %lld has only %zu populated temperature bins",
         static_cast<long long>(household_id), thresholds.size()));
   }
-  const double t1_seconds = bin_seconds + t1_clock.ElapsedSeconds();
+  const double t1_seconds = t1_clock.ElapsedSeconds();
   if (ctx != nullptr && ctx->ShouldStop()) return ctx->CheckNotStopped();
 
   // ---- T2: regression over the band readings ---------------------------
@@ -325,8 +318,6 @@ Result<ThreeLineResult> ComputeThreeLineBinned(
   }
   return result;
 }
-
-}  // namespace internal
 
 Status ComputeThreeLineRange(const table::ColumnarBatch& batch, size_t begin,
                              size_t end, const ThreeLineOptions& options,

@@ -2,7 +2,6 @@
 #define SMARTMETER_CORE_THREE_LINE_TASK_H_
 
 #include <cstdint>
-#include <map>
 #include <span>
 #include <vector>
 
@@ -110,23 +109,6 @@ struct ThreeSegmentFit {
 /// of the total SSE winning ties.
 ThreeSegmentFit FitThreeSegments(std::span<const BandPoint> points,
                                  int min_bins);
-
-/// The fit stages of ComputeThreeLine after the binning pass: T1
-/// thresholds from the prepared per-bin value lists, T2 band selection
-/// over `bin_idx`, T3 continuity. Shared between the batch entry point
-/// (which bins the series first) and IncrementalThreeLine (which
-/// maintains `bin_idx` / `bins` online and only pays the fit at query
-/// time); both run the identical code, so their results are
-/// bit-identical by construction. `bins` maps each temperature bin to
-/// its consumption values in reading order and is consumed by the
-/// quantile pass; `bin_seconds` is upstream binning time folded into
-/// the T1 phase split.
-Result<ThreeLineResult> ComputeThreeLineBinned(
-    std::span<const double> consumption, std::span<const double> temperature,
-    std::span<const int32_t> bin_idx,
-    std::map<int32_t, std::vector<double>> bins, double bin_seconds,
-    int64_t household_id, const ThreeLineOptions& options,
-    ThreeLinePhases* phases, const exec::QueryContext* ctx);
 
 }  // namespace internal
 

@@ -106,7 +106,7 @@ struct ScanOp {
 ///                  waves of a dataflow groupByKey).
 ///  * kSortMerge -- Hadoop-style sort-shuffle: the regroup itself is
 ///                  host-side bookkeeping; its read cost is charged to
-///                  the next (reduce) wave's tasks, as RunMapReduce did.
+///                  the next (reduce) wave's tasks, as in Hadoop.
 struct ShuffleOp {
   enum class Strategy { kDataflow, kSortMerge };
   Strategy strategy = Strategy::kSortMerge;
@@ -150,8 +150,8 @@ using PlanOp =
     std::variant<ScanOp, ShuffleOp, KernelOp, MaterializeOp, MergeOp>;
 
 /// One stage of a physical plan. `name` keys the per-stage metrics
-/// (plan.stage.<name>.ns counters, report rows), so keep it short and
-/// stable: "scan", "shuffle", "kernel", "materialize", "merge".
+/// (plan.stage.<name>.ns / .sim_ns counters, report rows), so keep it
+/// short and stable: "scan", "shuffle", "kernel", "materialize", "merge".
 struct PlanStage {
   std::string name;
   PlanOp op;

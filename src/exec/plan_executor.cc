@@ -32,9 +32,9 @@ using engines::TaskResultSet;
 
 constexpr double kBytesPerMb = 1024.0 * 1024.0;
 
-/// Modeled wire sizes on the simulated shuffle (cluster/serde.h rules):
-/// an 8-byte household key, a 24-byte hour record, a 16-byte vector
-/// header ahead of a batched value list.
+/// Modeled wire sizes on the simulated shuffle: an 8-byte household key,
+/// a 24-byte hour record, a 16-byte vector header ahead of a batched
+/// value list.
 constexpr int64_t kKeyBytes = 8;
 constexpr int64_t kRecordPayloadBytes = 24;
 constexpr int64_t kVectorHeaderBytes = 16;
@@ -216,9 +216,11 @@ class Execution {
     AddStageRow(std::move(row));
   }
 
+  /// Wall-clock and simulated seconds never share a counter: cluster
+  /// dispatch bills `.sim_ns`, local dispatch `.ns`.
   void AddStageRow(StageTiming row) {
     obs::MetricsRegistry::Global()
-        .GetCounter("plan.stage." + row.name + ".ns")
+        .GetCounter("plan.stage." + row.name + (cluster_ ? ".sim_ns" : ".ns"))
         ->Add(static_cast<int64_t>(row.seconds * 1e9));
     stage_rows_.push_back(std::move(row));
   }

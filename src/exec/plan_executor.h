@@ -87,9 +87,11 @@ struct PlanRunMetrics {
 
 /// Runs physical plans: owns partitioning, dispatch (ThreadPool waves or
 /// simulated cluster waves), per-partition QueryContext deadline/cancel
-/// checks, and per-stage observability (plan.stage.<name> trace spans
-/// and plan.stage.<name>.ns counters). Engines build plans; this is the
-/// only place that executes them.
+/// checks, and per-stage observability (plan.stage.<name> trace spans,
+/// plan.stage.<name>.ns wall-clock counters for local dispatch and
+/// plan.stage.<name>.sim_ns simulated-seconds counters for cluster
+/// dispatch). Engines build plans; this is the only place that executes
+/// them.
 class PlanExecutor {
  public:
   /// Executes `plan` under `policy`. `results` may be null when only

@@ -124,16 +124,9 @@ Result<std::vector<double>> LeastSquares(const Matrix& x,
     return Status::InvalidArgument(
         "LeastSquares: fewer observations than coefficients");
   }
-  return SolveNormalEquations(x.Gram(), x.TransposeTimes(y), ridge);
-}
-
-Result<std::vector<double>> SolveNormalEquations(const Matrix& gram,
-                                                 const std::vector<double>& xty,
-                                                 double ridge) {
+  const Matrix gram = x.Gram();
+  const std::vector<double> xty = x.TransposeTimes(y);
   const size_t p = gram.cols();
-  if (gram.rows() != p || xty.size() != p) {
-    return Status::InvalidArgument("SolveNormalEquations: shape mismatch");
-  }
 
   double trace = 0.0;
   for (size_t i = 0; i < p; ++i) trace += gram.At(i, i);

@@ -54,16 +54,6 @@ Result<std::vector<double>> LeastSquares(const Matrix& x,
                                          const std::vector<double>& y,
                                          double ridge = 0.0);
 
-/// The back half of LeastSquares, for callers that maintain the normal
-/// equations themselves (incremental kernels accumulating rank-one
-/// updates): solves (gram + ridge I) beta = xty with the same
-/// trace-scaled ridge escalation. LeastSquares delegates here, so a
-/// caller whose `gram` / `xty` match X^T X / X^T y bit-for-bit gets a
-/// bit-identical solution.
-Result<std::vector<double>> SolveNormalEquations(const Matrix& gram,
-                                                 const std::vector<double>& xty,
-                                                 double ridge = 0.0);
-
 }  // namespace smartmeter::stats
 
 #endif  // SMARTMETER_STATS_MATRIX_H_

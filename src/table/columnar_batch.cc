@@ -40,11 +40,16 @@ Result<ColumnarBatch> ColumnarBatch::FromContiguous(
         "columnar batch: temperature column has %zu values, expected %zu",
         temperature.size(), hours));
   }
+  // Households with zero hours have an empty, possibly null, column.
+  // Point at a static empty buffer instead, so consumption(i) yields a
+  // zero-length row and never reads the (absent) slice table.
+  static constexpr double kNoReadings = 0.0;
   ColumnarBatch batch;
   batch.ids_ = ids.data();
   batch.count_ = ids.size();
   batch.hours_ = hours;
-  batch.contiguous_ = consumption.data();
+  batch.contiguous_ =
+      consumption.data() != nullptr ? consumption.data() : &kNoReadings;
   batch.temperature_ = temperature;
   return batch;
 }

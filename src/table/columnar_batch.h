@@ -49,6 +49,7 @@ class ColumnarBatch {
   /// household, `consumption` holds `ids.size() * hours` doubles in
   /// household-major order. `temperature` is the shared column (may be
   /// empty for tables that carry none, e.g. similarity series tables).
+  /// `hours == 0` gives a valid batch of zero-length rows.
   static Result<ColumnarBatch> FromContiguous(std::span<const int64_t> ids,
                                               SeriesSlice consumption,
                                               SeriesSlice temperature,

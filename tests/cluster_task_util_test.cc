@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "engines/cluster_task_util.h"
-#include "engines/result_serde.h"
 #include "engines/task_api.h"
 
 namespace smartmeter::engines::internal {
@@ -74,27 +73,6 @@ TEST(MergeResultsTest, AdoptsTypeAndAppends) {
   // Merging an empty set is a no-op.
   MergeResults(TaskResultSet(), &dst);
   EXPECT_EQ(dst.size(), 2u);
-}
-
-TEST(ResultSerdeTest, SizesScaleWithContent) {
-  core::HistogramResult hist;
-  hist.histogram.counts.assign(10, 0);
-  EXPECT_EQ(core::ApproxByteSize(hist), 8 + 16 + 80);
-
-  core::ThreeLineResult lines;
-  EXPECT_GT(core::ApproxByteSize(lines), 100);
-
-  core::DailyProfileResult profile;
-  profile.profile.assign(24, 0.0);
-  profile.coefficients.assign(24, std::vector<double>(5, 0.0));
-  profile.temperature_beta.assign(24, 0.0);
-  const int64_t small = core::ApproxByteSize(profile);
-  profile.coefficients.assign(24, std::vector<double>(10, 0.0));
-  EXPECT_GT(core::ApproxByteSize(profile), small);
-
-  core::SimilarityResult sim;
-  sim.matches.resize(10);
-  EXPECT_EQ(core::ApproxByteSize(sim), 8 + 16 + 160);
 }
 
 }  // namespace

@@ -1,20 +1,14 @@
-#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <filesystem>
-#include <map>
+#include <limits>
 #include <numeric>
 #include <set>
 
 #include <gtest/gtest.h>
 
-#include "common/string_util.h"
-
 #include "cluster/block_store.h"
 #include "cluster/cost_model.h"
-#include "cluster/dataflow.h"
-#include "cluster/mapreduce.h"
-#include "cluster/serde.h"
 #include "cluster/task_scheduler.h"
 #include "common/rng.h"
 
@@ -48,20 +42,6 @@ class ClusterTest : public ::testing::Test {
 
   fs::path dir_;
 };
-
-// ---------------------------------------------------------------------------
-// Serde
-// ---------------------------------------------------------------------------
-
-TEST(SerdeTest, Sizes) {
-  EXPECT_EQ(ApproxByteSize(1.5), 8);
-  EXPECT_EQ(ApproxByteSize(int64_t{1}), 8);
-  EXPECT_EQ(ApproxByteSize(std::string("abcd")), 20);
-  EXPECT_EQ(ApproxByteSize(std::vector<double>(10)), 16 + 80);
-  EXPECT_EQ(ApproxByteSize(std::make_pair(int64_t{1}, 2.0)), 16);
-  const std::vector<std::string> vs = {"ab", "c"};
-  EXPECT_EQ(ApproxByteSize(vs), 16 + 18 + 17);
-}
 
 // ---------------------------------------------------------------------------
 // Split reading (TextInputFormat semantics)
@@ -198,10 +178,10 @@ TEST(TaskWaveRunnerTest, RunExecutesAllTasksAndMeasuresCompute) {
       return Status::OK();
     });
   }
-  auto makespan = runner.Run(&tasks);
-  ASSERT_TRUE(makespan.ok());
+  auto result = runner.RunWave(&tasks, WaveOptions{});
+  ASSERT_TRUE(result.ok());
   EXPECT_EQ(executed.load(), 20);
-  EXPECT_GT(*makespan, 0.0);
+  EXPECT_GT(result->makespan_seconds, 0.0);
 }
 
 TEST(TaskWaveRunnerTest, FirstErrorPropagates) {
@@ -210,7 +190,7 @@ TEST(TaskWaveRunnerTest, FirstErrorPropagates) {
   tasks.push_back([](TaskStats*) { return Status::OK(); });
   tasks.push_back(
       [](TaskStats*) { return Status::Corruption("bad split"); });
-  auto result = runner.Run(&tasks);
+  auto result = runner.RunWave(&tasks, WaveOptions{});
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
 }
@@ -409,180 +389,51 @@ TEST(TaskWaveRunnerTest, MoreSlotsShrinkMakespan) {
 }
 
 // ---------------------------------------------------------------------------
-// MapReduce
+// Cost-model properties
 // ---------------------------------------------------------------------------
 
-TEST_F(ClusterTest, WordCountStyleJob) {
-  WriteFile("w1.txt", "a\nb\na\n");
-  WriteFile("w2.txt", "b\na\n");
-  BlockStore store(2, 4);
-  ASSERT_TRUE(store.AddFile((dir_ / "w1.txt").string()).ok());
-  ASSERT_TRUE(store.AddFile((dir_ / "w2.txt").string()).ok());
-
-  mapreduce::JobOptions options;
-  options.job_overhead_seconds = 0.0;
-  options.task_startup_seconds = 0.0;
-  options.num_reducers = 3;
-  mapreduce::MapFn<std::string, int64_t> map =
-      [](const InputSplit& split,
-         mapreduce::Emitter<std::string, int64_t>* emitter) -> Status {
-    SM_ASSIGN_OR_RETURN(std::vector<std::string> lines,
-                        ReadSplitLines(split));
-    for (const std::string& line : lines) emitter->Emit(line, 1);
-    return Status::OK();
-  };
-  mapreduce::ReduceFn<std::string, int64_t,
-                      std::pair<std::string, int64_t>>
-      reduce = [](const std::string& key, std::vector<int64_t>&& values,
-                  std::vector<std::pair<std::string, int64_t>>* out)
-      -> Status {
-    out->emplace_back(key,
-                      std::accumulate(values.begin(), values.end(),
-                                      int64_t{0}));
-    return Status::OK();
-  };
-  auto result =
-      (mapreduce::RunMapReduce<std::string, int64_t,
-                               std::pair<std::string, int64_t>>(
-          store.SplittableSplits(), TestConfig(), options, map, reduce));
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  std::map<std::string, int64_t> counts(result->outputs.begin(),
-                                        result->outputs.end());
-  EXPECT_EQ(counts["a"], 3);
-  EXPECT_EQ(counts["b"], 2);
-  EXPECT_GT(result->shuffle_bytes, 0);
-  EXPECT_GT(result->input_bytes, 0);
-}
-
-TEST_F(ClusterTest, MapOnlyJobSkipsShuffle) {
-  WriteFile("m.txt", "x\ny\n");
-  BlockStore store(2, 64);
-  ASSERT_TRUE(store.AddFile((dir_ / "m.txt").string()).ok());
-  mapreduce::JobOptions options;
-  options.job_overhead_seconds = 0.0;
-  options.task_startup_seconds = 0.0;
-  mapreduce::MapFn<std::string, int> map =
-      [](const InputSplit& split,
-         mapreduce::Emitter<std::string, int>* emitter) -> Status {
-    SM_ASSIGN_OR_RETURN(std::vector<std::string> lines,
-                        ReadSplitLines(split));
-    for (const std::string& line : lines) emitter->Emit(line, 7);
-    return Status::OK();
-  };
-  auto result = (mapreduce::RunMapOnly<std::string, int>(
-      store.SplittableSplits(), TestConfig(), options, map));
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->outputs.size(), 2u);
-  EXPECT_EQ(result->shuffle_bytes, 0);
-}
-
-TEST_F(ClusterTest, MapErrorAborts) {
-  WriteFile("e.txt", "x\n");
-  BlockStore store(1, 64);
-  ASSERT_TRUE(store.AddFile((dir_ / "e.txt").string()).ok());
-  mapreduce::MapFn<int64_t, int> map =
-      [](const InputSplit&, mapreduce::Emitter<int64_t, int>*) -> Status {
-    return Status::Corruption("boom");
-  };
-  auto result = (mapreduce::RunMapOnly<int64_t, int>(
-      store.SplittableSplits(), TestConfig(), {}, map));
-  EXPECT_FALSE(result.ok());
-}
-
-TEST_F(ClusterTest, HiveStyleOverheadsRaiseSimulatedTime) {
-  WriteFile("o.txt", "x\n");
-  BlockStore store(1, 64);
-  ASSERT_TRUE(store.AddFile((dir_ / "o.txt").string()).ok());
-  mapreduce::MapFn<int64_t, int> map =
-      [](const InputSplit&, mapreduce::Emitter<int64_t, int>*) -> Status {
-    return Status::OK();
-  };
-  mapreduce::JobOptions cheap, pricey;
-  cheap.job_overhead_seconds = 0.0;
-  cheap.task_startup_seconds = 0.0;
-  pricey.job_overhead_seconds = 2.0;
-  pricey.task_startup_seconds = 0.5;
-  auto fast = (mapreduce::RunMapOnly<int64_t, int>(
-      store.SplittableSplits(), TestConfig(), cheap, map));
-  auto slow = (mapreduce::RunMapOnly<int64_t, int>(
-      store.SplittableSplits(), TestConfig(), pricey, map));
-  ASSERT_TRUE(fast.ok());
-  ASSERT_TRUE(slow.ok());
-  EXPECT_GT(slow->simulated_seconds, fast->simulated_seconds + 2.0);
-}
-
-// ---------------------------------------------------------------------------
-// Dataflow
-// ---------------------------------------------------------------------------
-
-TEST_F(ClusterTest, DataflowPipeline) {
-  WriteFile("d.txt", "1\n2\n3\n4\n5\n");
-  BlockStore store(2, 4);
-  ASSERT_TRUE(store.AddFile((dir_ / "d.txt").string()).ok());
-  dataflow::Context ctx(TestConfig());
-  auto numbers = ctx.ReadText<int64_t>(
-      store.SplittableSplits(),
-      [](std::string_view line, std::vector<int64_t>* out) -> Status {
-        SM_ASSIGN_OR_RETURN(int64_t v, ParseInt64(line));
-        out->push_back(v);
-        return Status::OK();
-      });
-  ASSERT_TRUE(numbers.ok());
-  EXPECT_EQ(numbers->TotalSize(), 5u);
-
-  auto doubled = (ctx.MapPartitions<int64_t, int64_t>(
-      *numbers, [](const std::vector<int64_t>& in,
-                   std::vector<int64_t>* out) -> Status {
-        for (int64_t v : in) out->push_back(v * 2);
-        return Status::OK();
-      }));
-  ASSERT_TRUE(doubled.ok());
-  std::vector<int64_t> collected = ctx.Collect(std::move(*doubled));
-  std::sort(collected.begin(), collected.end());
-  const std::vector<int64_t> expected = {2, 4, 6, 8, 10};
-  EXPECT_EQ(collected, expected);
-  EXPECT_GT(ctx.simulated_seconds(), 0.0);
-  EXPECT_GT(ctx.modeled_cached_bytes(), 0);
-}
-
-TEST_F(ClusterTest, DataflowGroupByGathersAllValues) {
-  dataflow::Context ctx(TestConfig());
-  std::vector<std::pair<int64_t, int64_t>> data;
-  for (int64_t i = 0; i < 100; ++i) data.emplace_back(i % 7, i);
-  auto part = ctx.Parallelize(std::move(data), 5);
-  auto grouped =
-      (ctx.GroupBy<std::pair<int64_t, int64_t>, int64_t, int64_t>(
-          part,
-          [](const std::pair<int64_t, int64_t>& kv) { return kv; }, 4));
-  ASSERT_TRUE(grouped.ok());
-  auto collected = ctx.Collect(std::move(*grouped));
-  ASSERT_EQ(collected.size(), 7u);
-  size_t total = 0;
-  for (const auto& [key, values] : collected) {
-    for (int64_t v : values) EXPECT_EQ(v % 7, key);
-    total += values.size();
+TEST(CostModelPropertyTest, MakespanMonotoneInSlots) {
+  Rng rng(23);
+  std::vector<double> durations(100);
+  for (double& d : durations) d = rng.NextDouble();
+  double prev = std::numeric_limits<double>::infinity();
+  for (int nodes : {1, 2, 4, 8, 16, 32}) {
+    ClusterConfig config;
+    config.num_nodes = nodes;
+    config.slots_per_node = 2;
+    TaskWaveRunner runner(config, 0.0);
+    const double makespan = runner.Makespan(durations);
+    EXPECT_LE(makespan, prev + 1e-12) << nodes;
+    // Never better than perfect parallelism, never worse than serial.
+    const double total =
+        std::accumulate(durations.begin(), durations.end(), 0.0);
+    EXPECT_GE(makespan, total / config.total_slots() - 1e-12);
+    EXPECT_LE(makespan, total + 1e-12);
+    prev = makespan;
   }
-  EXPECT_EQ(total, 100u);
 }
 
-TEST_F(ClusterTest, BroadcastChargesTime) {
-  ClusterConfig config = TestConfig(16, 1);
-  config.cost.broadcast_seconds_per_mb_per_node = 1.0;
-  dataflow::Context ctx(config);
-  const double before = ctx.simulated_seconds();
-  auto handle = ctx.Broadcast(std::vector<double>(1 << 17));  // 1 MB.
-  EXPECT_EQ(handle->size(), static_cast<size_t>(1 << 17));
-  EXPECT_NEAR(ctx.simulated_seconds() - before, 16.0, 0.5);
-}
-
-TEST_F(ClusterTest, ParallelizeRoundRobins) {
-  dataflow::Context ctx(TestConfig());
-  std::vector<int> values(10);
-  std::iota(values.begin(), values.end(), 0);
-  auto part = ctx.Parallelize(std::move(values), 3);
-  EXPECT_EQ(part.partitions.size(), 3u);
-  EXPECT_EQ(part.TotalSize(), 10u);
-  EXPECT_EQ(part.partitions[0].size(), 4u);
+TEST(CostModelPropertyTest, SimulatedSecondsMonotoneInEachCost) {
+  ClusterConfig config;
+  TaskWaveRunner runner(config, 0.05);
+  TaskStats base;
+  base.compute_seconds = 0.1;
+  base.input_bytes = 1 << 20;
+  base.shuffle_bytes = 1 << 20;
+  base.files_opened = 1;
+  const double baseline = runner.SimulatedSeconds(base);
+  TaskStats more = base;
+  more.input_bytes *= 2;
+  EXPECT_GT(runner.SimulatedSeconds(more), baseline);
+  more = base;
+  more.shuffle_bytes *= 2;
+  EXPECT_GT(runner.SimulatedSeconds(more), baseline);
+  more = base;
+  more.files_opened += 5;
+  EXPECT_GT(runner.SimulatedSeconds(more), baseline);
+  more = base;
+  more.compute_seconds *= 2;
+  EXPECT_GT(runner.SimulatedSeconds(more), baseline);
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "exec/plan.h"
 #include "exec/plan_executor.h"
 #include "exec/query_context.h"
+#include "obs/metrics.h"
 #include "storage/column_store.h"
 #include "table/delta_store.h"
 #include "storage/csv.h"
@@ -370,6 +371,51 @@ TEST_F(PlanTest, SimulatedPlanStageRowsSumExactly) {
   double sum = 0.0;
   for (const auto& stage : metrics->stages) sum += stage.seconds;
   EXPECT_NEAR(sum, metrics->seconds, 1e-9);
+}
+
+// Wall-clock and simulated stage seconds land in separate counters:
+// cluster dispatch raises only plan.stage.<name>.sim_ns, local dispatch
+// only plan.stage.<name>.ns.
+TEST_F(PlanTest, StageCountersSeparateWallClockFromSimulated) {
+  const auto counter = [](const std::string& stage, const char* suffix) {
+    return obs::MetricsRegistry::Global()
+        .GetCounter("plan.stage." + stage + suffix)
+        ->Value();
+  };
+  const auto run = [&](AnalyticsEngine* engine, bool simulated) {
+    ASSERT_TRUE(engine->Attach(*DataSource::SingleCsv(single_csv_)).ok());
+    const std::vector<std::string> names = {
+        "driver", "scan", "shuffle", "kernel", "materialize", "merge"};
+    std::vector<int64_t> ns_before, sim_before;
+    for (const std::string& name : names) {
+      ns_before.push_back(counter(name, ".ns"));
+      sim_before.push_back(counter(name, ".sim_ns"));
+    }
+    TaskResultSet results;
+    auto metrics = engine->RunTask(
+        TaskOptions::Default(core::TaskType::kHistogram), &results);
+    ASSERT_TRUE(metrics.ok());
+    ASSERT_EQ(metrics->simulated, simulated);
+    int64_t ns_added = 0;
+    int64_t sim_added = 0;
+    for (size_t i = 0; i < names.size(); ++i) {
+      ns_added += counter(names[i], ".ns") - ns_before[i];
+      sim_added += counter(names[i], ".sim_ns") - sim_before[i];
+    }
+    if (simulated) {
+      EXPECT_GT(sim_added, 0) << engine->name();
+      EXPECT_EQ(ns_added, 0) << engine->name();
+    } else {
+      EXPECT_GT(ns_added, 0) << engine->name();
+      EXPECT_EQ(sim_added, 0) << engine->name();
+    }
+  };
+  SparkEngine spark(SparkOptions(64 << 10));
+  run(&spark, /*simulated=*/true);
+  HiveEngine hive(HiveOptions(64 << 10));
+  run(&hive, /*simulated=*/true);
+  SystemCEngine system_c((*dir_ / "spool_stage_counters").string());
+  run(&system_c, /*simulated=*/false);
 }
 
 // ---------------------------------------------------------------------------

@@ -268,6 +268,32 @@ TEST_F(TableTest, FromContiguousRejectsShapeMismatch) {
   EXPECT_FALSE(batch.ok());
 }
 
+TEST_F(TableTest, FromContiguousZeroHoursGivesEmptyRows) {
+  // Households but no hours: every row is a valid zero-length series,
+  // through the batch itself, a view, and a slice.
+  std::vector<int64_t> ids = {1, 2, 3};
+  auto batch = table::ColumnarBatch::FromContiguous(ids, {}, {}, /*hours=*/0);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_TRUE(batch->Validate().ok());
+  ASSERT_EQ(batch->count(), 3u);
+  EXPECT_EQ(batch->hours(), 0u);
+  EXPECT_TRUE(batch->contiguous());
+  EXPECT_TRUE(batch->consumption_column().empty());
+  for (size_t i = 0; i < batch->count(); ++i) {
+    EXPECT_TRUE(batch->consumption(i).empty());
+    EXPECT_EQ(batch->household_id(i), ids[i]);
+  }
+  const table::ColumnarBatch view = batch->View();
+  EXPECT_TRUE(view.Validate().ok());
+  EXPECT_TRUE(view.consumption(2).empty());
+  auto slice = batch->Slice(1, 2);
+  ASSERT_TRUE(slice.ok());
+  ASSERT_EQ(slice->count(), 2u);
+  EXPECT_EQ(slice->household_id(0), 2);
+  EXPECT_TRUE(slice->consumption(1).empty());
+  EXPECT_TRUE(slice->Validate().ok());
+}
+
 // ---------------------------------------------------------------------------
 // SMCOLV2 round-trips, scoped decode, and cache bounding
 // ---------------------------------------------------------------------------

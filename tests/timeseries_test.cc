@@ -5,7 +5,6 @@
 
 #include "timeseries/calendar.h"
 #include "timeseries/dataset.h"
-#include "timeseries/resample.h"
 
 namespace smartmeter {
 namespace {
@@ -152,70 +151,6 @@ TEST(FillGapsTest, NoGapsIsNoop) {
 TEST(FillGapsTest, AllNanFails) {
   std::vector<double> v = {kNan, kNan};
   EXPECT_FALSE(FillGaps(&v).ok());
-}
-
-
-// ---------------------------------------------------------------------------
-// Resampling
-// ---------------------------------------------------------------------------
-
-TEST(ResampleTest, QuarterHourlyEnergySumsToHourly) {
-  // One hour of 15-minute kWh readings sums to the hourly total.
-  const std::vector<double> quarter = {0.1, 0.2, 0.3, 0.4,
-                                       1.0, 1.0, 1.0, 1.0};
-  auto hourly = AggregateEnergy(quarter, 4);
-  ASSERT_TRUE(hourly.ok());
-  ASSERT_EQ(hourly->size(), 2u);
-  EXPECT_NEAR((*hourly)[0], 1.0, 1e-12);
-  EXPECT_NEAR((*hourly)[1], 4.0, 1e-12);
-}
-
-TEST(ResampleTest, TemperatureAverages) {
-  const std::vector<double> quarter = {0.0, 10.0, 20.0, 30.0};
-  auto hourly = AggregateMean(quarter, 4);
-  ASSERT_TRUE(hourly.ok());
-  ASSERT_EQ(hourly->size(), 1u);
-  EXPECT_DOUBLE_EQ((*hourly)[0], 15.0);
-}
-
-TEST(ResampleTest, FactorOneIsIdentity) {
-  const std::vector<double> v = {1.0, 2.0, 3.0};
-  auto out = AggregateEnergy(v, 1);
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(*out, v);
-}
-
-TEST(ResampleTest, RejectsBadShapes) {
-  const std::vector<double> v = {1.0, 2.0, 3.0};
-  EXPECT_FALSE(AggregateEnergy(v, 2).ok());
-  EXPECT_FALSE(AggregateEnergy(v, 0).ok());
-  EXPECT_FALSE(AggregateEnergy({}, 1).ok());
-}
-
-TEST(ResampleTest, DailyTotalsOverTwoDays) {
-  std::vector<double> hourly(48, 0.5);
-  hourly[30] = 2.5;  // Day 2 carries an extra 2 kWh.
-  auto days = DailyTotals(hourly);
-  ASSERT_TRUE(days.ok());
-  ASSERT_EQ(days->size(), 2u);
-  EXPECT_NEAR((*days)[0], 12.0, 1e-12);
-  EXPECT_NEAR((*days)[1], 14.0, 1e-12);
-}
-
-TEST(ResampleTest, EnergyConservedThroughAggregation) {
-  std::vector<double> quarter(4 * 24 * 7);
-  double total = 0.0;
-  for (size_t i = 0; i < quarter.size(); ++i) {
-    quarter[i] = 0.01 * static_cast<double>(i % 97);
-    total += quarter[i];
-  }
-  auto hourly = AggregateEnergy(quarter, 4);
-  ASSERT_TRUE(hourly.ok());
-  auto daily = DailyTotals(*hourly);
-  ASSERT_TRUE(daily.ok());
-  double daily_total = 0.0;
-  for (double d : *daily) daily_total += d;
-  EXPECT_NEAR(daily_total, total, 1e-9);
 }
 
 }  // namespace
